@@ -1,17 +1,14 @@
 //! [`ArithCtx`]: the one entry point for instrumented 8-bit arithmetic.
 //!
-//! Before this type, callers juggled three surfaces — bare scalar ops
-//! (`Format8::mul_scalar`), event-returning variants
-//! (`mul_scalar_events`), and per-tier status matmuls
-//! (`matmul8_status_*`) — and tier selection leaked through the
-//! `NGA_KERNEL` environment variable at every call site. An `ArithCtx`
-//! owns all three concerns: an explicit [`KernelTier`], sticky
-//! [`StatusCounters`], and an observability span that every operation
-//! reports into.
+//! An `ArithCtx` owns three concerns that callers would otherwise juggle
+//! themselves: an explicit [`KernelTier`] (instead of an ambient
+//! `NGA_KERNEL` read at every call site), sticky [`StatusCounters`], and
+//! an observability span that every operation reports into.
 
 use crate::format8::Format8;
-use crate::kernel::{Kernel, KernelTier};
+use crate::kernel::KernelTier;
 use crate::status::{Event8, StatusCounters};
+use crate::tensor;
 
 /// An arithmetic context: kernel-tier selection + sticky status +
 /// trace scope, in one value.
@@ -77,7 +74,7 @@ impl ArithCtx {
     /// ```
     /// use nga_kernels::{ArithCtx, KernelTier};
     /// let ctx = ArithCtx::new().with_tier(KernelTier::Scalar);
-    /// assert_eq!(ctx.kernel().name(), "scalar");
+    /// assert_eq!(ctx.tier().name(), "scalar");
     /// ```
     #[must_use]
     pub fn with_tier(mut self, tier: KernelTier) -> Self {
@@ -89,12 +86,6 @@ impl ArithCtx {
     #[must_use]
     pub fn tier(&self) -> KernelTier {
         self.tier
-    }
-
-    /// The effective tier's kernel vtable.
-    #[must_use]
-    pub fn kernel(&self) -> &'static dyn Kernel {
-        self.tier.kernel()
     }
 
     /// The sticky status counters accumulated by every op so far.
@@ -156,15 +147,23 @@ impl ArithCtx {
         k: usize,
         n: usize,
     ) -> StatusCounters {
-        let s = self.tier.kernel().matmul8_status(fmt, a, b, out, m, k, n);
+        let s = match self.tier {
+            KernelTier::Scalar => tensor::status_scalar(fmt, a, b, out, m, k, n),
+            KernelTier::Table => tensor::status_table(fmt, a, b, out, m, k, n),
+            KernelTier::Parallel => tensor::status_parallel(fmt, a, b, out, m, k, n),
+        };
         self.counters.merge(&s);
         nga_obs::record_at(self.span.path(), |c| s.fold_into_obs(c));
         s
     }
 
-    /// `out = a · b` over f32 through the selected tier.
+    /// `out = a · b` over f32 through the selected tier (row-banded on
+    /// [`KernelTier::Parallel`], serial otherwise).
     pub fn matmul_f32(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-        self.tier.kernel().matmul_f32(a, b, out, m, k, n);
+        match self.tier {
+            KernelTier::Scalar | KernelTier::Table => tensor::matmul_f32(a, b, out, m, k, n),
+            KernelTier::Parallel => tensor::matmul_f32_parallel(a, b, out, m, k, n),
+        }
     }
 }
 
@@ -204,7 +203,7 @@ mod tests {
         let b: Vec<u8> = (0..k * n).map(|i| (i * 29 + 1) as u8).collect();
         for fmt in Format8::ALL {
             let mut want = vec![0u8; m * n];
-            let want_s = crate::tensor::status_scalar(fmt, &a, &b, &mut want, m, k, n);
+            let want_s = tensor::status_scalar(fmt, &a, &b, &mut want, m, k, n);
             for tier in KernelTier::ALL {
                 let mut ctx = ArithCtx::labeled("ctx-test-mm").with_tier(tier);
                 let mut out = vec![0u8; m * n];
@@ -218,10 +217,12 @@ mod tests {
 
     #[test]
     fn f32_matmul_dispatches() {
-        let ctx = ArithCtx::labeled("ctx-test-f32").with_tier(KernelTier::Parallel);
         let a = [1.0f32, 2.0, 3.0, 4.0];
-        let mut out = [0.0f32; 4];
-        ctx.matmul_f32(&a, &a, &mut out, 2, 2, 2);
-        assert_eq!(out, [7.0, 10.0, 15.0, 22.0]);
+        for tier in KernelTier::ALL {
+            let ctx = ArithCtx::labeled("ctx-test-f32").with_tier(tier);
+            let mut out = [0.0f32; 4];
+            ctx.matmul_f32(&a, &a, &mut out, 2, 2, 2);
+            assert_eq!(out, [7.0, 10.0, 15.0, 22.0], "{tier}");
+        }
     }
 }

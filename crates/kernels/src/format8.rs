@@ -59,29 +59,10 @@ impl Format8 {
         }
     }
 
-    /// Bit-exact scalar multiply on raw codes, discarding status.
-    #[must_use]
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `ArithCtx::mul` (tracks status + trace) or `mul_scalar_events`"
-    )]
-    pub fn mul_scalar(self, a: u8, b: u8) -> u8 {
-        self.mul_scalar_events(a, b).0
-    }
-
-    /// Bit-exact scalar add on raw codes, discarding status.
-    #[must_use]
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `ArithCtx::add` (tracks status + trace) or `add_scalar_events`"
-    )]
-    pub fn add_scalar(self, a: u8, b: u8) -> u8 {
-        self.add_scalar_events(a, b).0
-    }
-
-    /// [`Self::mul_scalar`] plus the [`Event8`] status the op raised,
-    /// translated from the source crate's event vocabulary. This is the
-    /// seed for the per-format event tables.
+    /// Bit-exact scalar multiply on raw codes, plus the [`Event8`] status
+    /// the op raised, translated from the source crate's event
+    /// vocabulary. This is the seed for the per-format value and event
+    /// tables.
     #[must_use]
     pub fn mul_scalar_events(self, a: u8, b: u8) -> (u8, Event8) {
         match self {
@@ -116,7 +97,8 @@ impl Format8 {
         }
     }
 
-    /// [`Self::add_scalar`] plus the [`Event8`] status the op raised.
+    /// Bit-exact scalar add on raw codes, plus the [`Event8`] status the
+    /// op raised.
     #[must_use]
     pub fn add_scalar_events(self, a: u8, b: u8) -> (u8, Event8) {
         match self {
@@ -147,8 +129,8 @@ impl Format8 {
     }
 
     // lint: allow-start(no-host-float): decode/encode are the declared
-    // host<->code conversion boundary; table seeds use mul_scalar /
-    // add_scalar, which stay on raw codes.
+    // host<->code conversion boundary; table seeds use mul_scalar_events /
+    // add_scalar_events, which stay on raw codes.
     /// Decodes a raw code to its real value (NaR and NaN map to NaN).
     #[must_use]
     pub fn decode(self, code: u8) -> f64 {
@@ -190,8 +172,6 @@ fn fixed_from_code(code: u8, fmt: FixedFormat) -> Fixed {
 }
 
 #[cfg(test)]
-// The deprecated convenience shims are still part of the pinned surface.
-#[allow(deprecated)]
 mod tests {
     use super::*;
 
@@ -200,7 +180,11 @@ mod tests {
         assert_eq!(Format8::Posit8.decode(0x40), 1.0);
         assert_eq!(Format8::Posit8.encode(1.0), 0x40);
         assert!(Format8::Posit8.decode(0x80).is_nan(), "NaR decodes to NaN");
-        assert_eq!(Format8::Posit8.mul_scalar(0x40, 0x40), 0x40, "1*1 = 1");
+        assert_eq!(
+            Format8::Posit8.mul_scalar_events(0x40, 0x40).0,
+            0x40,
+            "1*1 = 1"
+        );
     }
 
     #[test]
@@ -209,7 +193,7 @@ mod tests {
         assert_eq!(Format8::Fixed8.decode(0xF0), -1.0);
         assert_eq!(Format8::Fixed8.encode(0.5), 0x08);
         // Saturation: 8 * 8 clamps to the max raw 0x7F = 7.9375.
-        assert_eq!(Format8::Fixed8.mul_scalar(0x7F, 0x7F), 0x7F);
+        assert_eq!(Format8::Fixed8.mul_scalar_events(0x7F, 0x7F).0, 0x7F);
     }
 
     #[test]
@@ -217,8 +201,8 @@ mod tests {
         for fmt in [Format8::E4m3, Format8::E5m2] {
             let one = fmt.encode(1.0);
             assert_eq!(fmt.decode(one), 1.0);
-            assert_eq!(fmt.add_scalar(0, one), one, "0 + 1 = 1");
-            assert_eq!(fmt.mul_scalar(one, one), one, "1 * 1 = 1");
+            assert_eq!(fmt.add_scalar_events(0, one).0, one, "0 + 1 = 1");
+            assert_eq!(fmt.mul_scalar_events(one, one).0, one, "1 * 1 = 1");
         }
     }
 

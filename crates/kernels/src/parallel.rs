@@ -23,8 +23,7 @@ pub fn num_threads() -> usize {
 
 /// Splits `0..n` into at most `parts` contiguous near-equal ranges
 /// (never returns an empty range; may return fewer than `parts`).
-#[must_use]
-pub fn split_bands(n: usize, parts: usize) -> Vec<Range<usize>> {
+fn split_bands(n: usize, parts: usize) -> Vec<Range<usize>> {
     let parts = parts.clamp(1, n.max(1));
     let base = n / parts;
     let extra = n % parts;
@@ -42,34 +41,43 @@ pub fn split_bands(n: usize, parts: usize) -> Vec<Range<usize>> {
 }
 
 /// Runs `f(rows, band)` over contiguous row bands of `out`, in parallel
-/// when the work is large enough.
+/// when the work is large enough, and returns each band's result in row
+/// order.
 ///
 /// `out` has `rows` rows of `row_len` elements. Bands are disjoint
 /// `&mut` slices, so `f` needs no synchronisation. Falls back to one
 /// serial call (`f(0..rows, out)`) when a single thread is available or
 /// the matrix is small enough that spawn overhead would dominate.
-pub fn for_each_band<T: Send, F>(out: &mut [T], rows: usize, row_len: usize, f: F)
+pub fn for_each_band<T: Send, R: Send, F>(
+    out: &mut [T],
+    rows: usize,
+    row_len: usize,
+    f: F,
+) -> Vec<R>
 where
-    F: Fn(Range<usize>, &mut [T]) + Sync,
+    F: Fn(Range<usize>, &mut [T]) -> R + Sync,
 {
     assert_eq!(out.len(), rows * row_len, "output shape mismatch");
     let threads = num_threads().min(rows.max(1));
     // Under ~16k output elements the per-thread spawn cost (~10 µs) is
     // comparable to the work itself; stay serial.
     if threads <= 1 || rows * row_len < 16_384 {
-        f(0..rows, out);
-        return;
+        return vec![f(0..rows, out)];
     }
-    let bands = split_bands(rows, threads);
     std::thread::scope(|s| {
         let mut rest = out;
-        for band in bands {
+        let mut handles = Vec::with_capacity(threads);
+        for band in split_bands(rows, threads) {
             let (head, tail) = rest.split_at_mut((band.end - band.start) * row_len);
             rest = tail;
             let f = &f;
-            s.spawn(move || f(band, head));
+            handles.push(s.spawn(move || f(band, head)));
         }
-    });
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    })
 }
 
 #[cfg(test)]
@@ -97,13 +105,18 @@ mod tests {
         let rows = 101;
         let row_len = 257;
         let mut out = vec![0u32; rows * row_len];
-        for_each_band(&mut out, rows, row_len, |band, slice| {
-            for (i, r) in band.enumerate() {
+        let bands = for_each_band(&mut out, rows, row_len, |band, slice| {
+            for (i, r) in band.clone().enumerate() {
                 for v in &mut slice[i * row_len..(i + 1) * row_len] {
                     *v += r as u32 + 1;
                 }
             }
+            band
         });
+        // One result per band, in row order, covering every row.
+        assert_eq!(bands.first().map(|b| b.start), Some(0));
+        assert_eq!(bands.last().map(|b| b.end), Some(rows));
+        assert!(bands.windows(2).all(|w| w[0].end == w[1].start));
         for r in 0..rows {
             for c in 0..row_len {
                 assert_eq!(out[r * row_len + c], r as u32 + 1);

@@ -19,9 +19,10 @@ use crate::format8::Format8;
 /// format is a single-event-upset target: one flipped bit silently
 /// corrupts every MAC that touches that entry. The stored checksum lets
 /// integrity be re-verified at any point ([`Self::verify`]) so callers
-/// can fall back to the scalar tier ([`crate::Kernel`]) when a table has
-/// been damaged; [`Self::corrupt_entry`] is the fault-injection hook that
-/// models the upset (it deliberately does *not* refresh the checksum).
+/// can fall back to the scalar tier ([`crate::matmul8_scalar`]) when a
+/// table has been damaged; [`Self::corrupt_entry`] is the fault-injection
+/// hook that models the upset (it deliberately does *not* refresh the
+/// checksum).
 pub struct BinaryTable {
     entries: Box<[u8; 65536]>,
     checksum: u64,
@@ -325,8 +326,6 @@ pub fn mac_table(m: ApproxMultiplier) -> &'static MacTable {
 }
 
 #[cfg(test)]
-// Spot checks pin the deprecated convenience shims to the tables too.
-#[allow(deprecated)]
 mod tests {
     use super::*;
 
@@ -335,8 +334,9 @@ mod tests {
         for fmt in Format8::ALL {
             let op = LutOp::new(fmt);
             for (a, b) in [(0u8, 0u8), (0x40, 0x40), (0x80, 0x23), (0xFF, 0x01)] {
-                assert_eq!(op.mul(a, b), fmt.mul_scalar(a, b), "{} mul", fmt.id());
-                assert_eq!(op.add(a, b), fmt.add_scalar(a, b), "{} add", fmt.id());
+                let id = fmt.id();
+                assert_eq!(op.mul(a, b), fmt.mul_scalar_events(a, b).0, "{id} mul");
+                assert_eq!(op.add(a, b), fmt.add_scalar_events(a, b).0, "{id} add");
             }
         }
     }

@@ -8,8 +8,8 @@
 use std::ops::Range;
 
 use crate::format8::Format8;
-use crate::parallel::{for_each_band, num_threads, split_bands};
-use crate::status::StatusCounters;
+use crate::parallel::for_each_band;
+use crate::status::{Event8, StatusCounters};
 use crate::table::{BinaryTable, LutOp, StatusOp};
 
 /// Records one matmul's worth of arithmetic against the current obs
@@ -17,21 +17,12 @@ use crate::table::{BinaryTable, LutOp, StatusOp};
 /// table loads per MAC. Counts are shape-derived, so the record costs
 /// one registry update per kernel call, not per element.
 fn obs_macs(m: usize, k: usize, n: usize, luts_per_mac: u64) {
-    let macs = (m as u64)
-        .saturating_mul(k as u64)
-        .saturating_mul(n as u64);
-    nga_obs::record(|c| {
-        c.muls = c.muls.saturating_add(macs);
-        c.adds = c.adds.saturating_add(macs);
-        c.lut_hits = c.lut_hits.saturating_add(macs.saturating_mul(luts_per_mac));
-    });
+    obs_status(m, k, n, luts_per_mac, &StatusCounters::new());
 }
 
 /// [`obs_macs`] plus the per-event totals from a status sweep.
 fn obs_status(m: usize, k: usize, n: usize, luts_per_mac: u64, s: &StatusCounters) {
-    let macs = (m as u64)
-        .saturating_mul(k as u64)
-        .saturating_mul(n as u64);
+    let macs = (m as u64).saturating_mul(k as u64).saturating_mul(n as u64);
     nga_obs::record(|c| {
         c.muls = c.muls.saturating_add(macs);
         c.adds = c.adds.saturating_add(macs);
@@ -213,28 +204,90 @@ pub fn conv2d_f32(
 // 8-bit format kernels
 // ---------------------------------------------------------------------
 
-/// Table-driven dot product over format codes (ascending-index
-/// accumulation from the format's zero code `0x00`).
-#[inline]
-#[must_use]
-pub fn dot8(op: &LutOp, a: &[u8], b: &[u8]) -> u8 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut acc = 0u8;
-    for (&x, &y) in a.iter().zip(b) {
-        acc = op.add(acc, op.mul(x, y));
-    }
-    acc
+/// Where a MAC step's events go: dropped (`()`) by the value-only
+/// kernels, counted ([`StatusCounters`]) by the status tiers.
+pub(crate) trait EventSink: Default + Send {
+    /// Records the events one multiply or add raised.
+    fn record(&mut self, ev: Event8);
 }
 
-fn matmul8_rows(
-    op: &LutOp,
+impl EventSink for () {
+    #[inline(always)]
+    fn record(&mut self, _: Event8) {}
+}
+
+impl EventSink for StatusCounters {
+    #[inline(always)]
+    fn record(&mut self, ev: Event8) {
+        Self::record(self, ev);
+    }
+}
+
+/// One multiply-accumulate step over format codes: the op the single u8
+/// matmul loop ([`matmul8_rows`]) is generic over. Each step rounds after
+/// the multiply and again after the add.
+pub(crate) trait Mac8: Sync {
+    /// `acc + a·b`, reporting the step's events to `sink` (ops without
+    /// event tables report none).
+    fn mac<S: EventSink>(&self, acc: u8, a: u8, b: u8, sink: &mut S) -> u8;
+}
+
+/// The scalar reference op: decode → compute → encode through the
+/// bit-exact source crates.
+impl Mac8 for Format8 {
+    #[inline]
+    fn mac<S: EventSink>(&self, acc: u8, a: u8, b: u8, sink: &mut S) -> u8 {
+        let (p, mul_ev) = self.mul_scalar_events(a, b);
+        sink.record(mul_ev);
+        let (s, add_ev) = self.add_scalar_events(acc, p);
+        sink.record(add_ev);
+        s
+    }
+}
+
+/// The cached value tables: one lookup per multiply/add.
+impl Mac8 for LutOp {
+    #[inline(always)]
+    fn mac<S: EventSink>(&self, acc: u8, a: u8, b: u8, _: &mut S) -> u8 {
+        self.add(acc, self.mul(a, b))
+    }
+}
+
+/// Caller-supplied `(mul, add)` tables, possibly corrupted on purpose.
+impl Mac8 for (&BinaryTable, &BinaryTable) {
+    #[inline(always)]
+    fn mac<S: EventSink>(&self, acc: u8, a: u8, b: u8, _: &mut S) -> u8 {
+        self.1.get(acc, self.0.get(a, b))
+    }
+}
+
+/// Value plus event tables: two lookups per multiply/add, with the same
+/// events as the scalar op.
+impl Mac8 for StatusOp {
+    #[inline(always)]
+    fn mac<S: EventSink>(&self, acc: u8, a: u8, b: u8, sink: &mut S) -> u8 {
+        let (p, mul_ev) = self.mul(a, b);
+        sink.record(mul_ev);
+        let (s, add_ev) = self.add(acc, p);
+        sink.record(add_ev);
+        s
+    }
+}
+
+/// The one u8 matmul loop: computes global rows `rows` of `a·b` through
+/// `op` into `oband` (local rows), accumulating each output from the
+/// zero code `0x00` in ascending-`k` order, and returns the band's
+/// events.
+fn matmul8_rows<O: Mac8, S: EventSink>(
+    op: &O,
     a: &[u8],
     b: &[u8],
     oband: &mut [u8],
     rows: Range<usize>,
     k: usize,
     n: usize,
-) {
+) -> S {
+    let mut sink = S::default();
     for (li, gi) in rows.enumerate() {
         let arow = &a[gi * k..(gi + 1) * k];
         let orow = &mut oband[li * n..(li + 1) * n];
@@ -242,10 +295,11 @@ fn matmul8_rows(
         for (kk, &av) in arow.iter().enumerate() {
             let brow = &b[kk * n..(kk + 1) * n];
             for (o, &bv) in orow.iter_mut().zip(brow) {
-                *o = op.add(*o, op.mul(av, bv));
+                *o = op.mac(*o, av, bv, &mut sink);
             }
         }
     }
+    sink
 }
 
 /// Serial table-driven matrix multiply over format codes.
@@ -253,7 +307,7 @@ pub fn matmul8(op: &LutOp, a: &[u8], b: &[u8], out: &mut [u8], m: usize, k: usiz
     check_matmul_shapes(a, b, out, m, k, n);
     let _span = nga_obs::span("matmul8:table");
     obs_macs(m, k, n, 2);
-    matmul8_rows(op, a, b, out, 0..m, k, n);
+    let () = matmul8_rows(op, a, b, out, 0..m, k, n);
 }
 
 /// Row-banded parallel table-driven matmul; bit-for-bit equal to
@@ -271,7 +325,7 @@ pub fn matmul8_parallel(
     let _span = nga_obs::span("matmul8:parallel");
     obs_macs(m, k, n, 2);
     for_each_band(out, m, n, |rows, oband| {
-        matmul8_rows(op, a, b, oband, rows, k, n);
+        let () = matmul8_rows(op, a, b, oband, rows, k, n);
     });
 }
 
@@ -290,17 +344,7 @@ pub fn matmul8_scalar(
     check_matmul_shapes(a, b, out, m, k, n);
     let _span = nga_obs::span("matmul8:scalar");
     obs_macs(m, k, n, 0);
-    for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        let orow = &mut out[i * n..(i + 1) * n];
-        orow.fill(0);
-        for (kk, &av) in arow.iter().enumerate() {
-            let brow = &b[kk * n..(kk + 1) * n];
-            for (o, &bv) in orow.iter_mut().zip(brow) {
-                *o = fmt.add_scalar_events(*o, fmt.mul_scalar_events(av, bv).0).0;
-            }
-        }
-    }
+    let () = matmul8_rows(&fmt, a, b, out, 0..m, k, n);
 }
 
 /// Serial matmul over raw `u8 × u8 → u8` tables supplied by the caller
@@ -321,53 +365,12 @@ pub fn matmul8_tables(
     check_matmul_shapes(a, b, out, m, k, n);
     let _span = nga_obs::span("matmul8:tables");
     obs_macs(m, k, n, 2);
-    for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        let orow = &mut out[i * n..(i + 1) * n];
-        orow.fill(0);
-        for (kk, &av) in arow.iter().enumerate() {
-            let brow = &b[kk * n..(kk + 1) * n];
-            for (o, &bv) in orow.iter_mut().zip(brow) {
-                *o = add.get(*o, mul.get(av, bv));
-            }
-        }
-    }
+    let () = matmul8_rows(&(mul, add), a, b, out, 0..m, k, n);
 }
 
 // ---------------------------------------------------------------------
-// Status-reporting 8-bit kernels
+// Status-reporting 8-bit kernels: the tiers behind `ArithCtx::matmul8`
 // ---------------------------------------------------------------------
-
-/// The status row worker shared by the table and parallel tiers: same
-/// accumulation order as [`matmul8_rows`], recording one mul and one add
-/// event per MAC.
-fn matmul8_status_rows(
-    op: &StatusOp,
-    a: &[u8],
-    b: &[u8],
-    oband: &mut [u8],
-    rows: Range<usize>,
-    k: usize,
-    n: usize,
-) -> StatusCounters {
-    let mut counters = StatusCounters::new();
-    for (li, gi) in rows.enumerate() {
-        let arow = &a[gi * k..(gi + 1) * k];
-        let orow = &mut oband[li * n..(li + 1) * n];
-        orow.fill(0);
-        for (kk, &av) in arow.iter().enumerate() {
-            let brow = &b[kk * n..(kk + 1) * n];
-            for (o, &bv) in orow.iter_mut().zip(brow) {
-                let (p, mul_ev) = op.mul(av, bv);
-                counters.record(mul_ev);
-                let (s, add_ev) = op.add(*o, p);
-                counters.record(add_ev);
-                *o = s;
-            }
-        }
-    }
-    counters
-}
 
 /// Status-reporting reference matmul through the scalar event ops.
 /// Output codes equal [`matmul8_scalar`]; the returned counters record
@@ -383,22 +386,7 @@ pub(crate) fn status_scalar(
 ) -> StatusCounters {
     check_matmul_shapes(a, b, out, m, k, n);
     let _span = nga_obs::span("matmul8:scalar");
-    let mut counters = StatusCounters::new();
-    for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        let orow = &mut out[i * n..(i + 1) * n];
-        orow.fill(0);
-        for (kk, &av) in arow.iter().enumerate() {
-            let brow = &b[kk * n..(kk + 1) * n];
-            for (o, &bv) in orow.iter_mut().zip(brow) {
-                let (p, mul_ev) = fmt.mul_scalar_events(av, bv);
-                counters.record(mul_ev);
-                let (s, add_ev) = fmt.add_scalar_events(*o, p);
-                counters.record(add_ev);
-                *o = s;
-            }
-        }
-    }
+    let counters: StatusCounters = matmul8_rows(&fmt, a, b, out, 0..m, k, n);
     obs_status(m, k, n, 0, &counters);
     counters
 }
@@ -417,8 +405,8 @@ pub(crate) fn status_table(
 ) -> StatusCounters {
     check_matmul_shapes(a, b, out, m, k, n);
     let _span = nga_obs::span("matmul8:table");
+    let counters: StatusCounters = matmul8_rows(&StatusOp::new(fmt), a, b, out, 0..m, k, n);
     // One value load + one event load per op, two ops per MAC.
-    let counters = matmul8_status_rows(&StatusOp::new(fmt), a, b, out, 0..m, k, n);
     obs_status(m, k, n, 4, &counters);
     counters
 }
@@ -439,87 +427,14 @@ pub(crate) fn status_parallel(
     check_matmul_shapes(a, b, out, m, k, n);
     let _span = nga_obs::span("matmul8:parallel");
     let op = StatusOp::new(fmt);
-    let threads = num_threads().min(m.max(1));
-    // Same serial-fallback threshold as `for_each_band`.
-    let total = if threads <= 1 || m * n < 16_384 {
-        matmul8_status_rows(&op, a, b, out, 0..m, k, n)
-    } else {
-        let bands = split_bands(m, threads);
-        let mut band_counters = vec![StatusCounters::new(); bands.len()];
-        std::thread::scope(|s| {
-            let mut rest = &mut out[..];
-            for (band, slot) in bands.iter().zip(band_counters.iter_mut()) {
-                let (head, tail) = rest.split_at_mut((band.end - band.start) * n);
-                rest = tail;
-                let band = band.clone();
-                let op = &op;
-                s.spawn(move || {
-                    *slot = matmul8_status_rows(op, a, b, head, band, k, n);
-                });
-            }
-        });
-        let mut total = StatusCounters::new();
-        for c in &band_counters {
-            total.merge(c);
-        }
-        total
-    };
-    obs_status(m, k, n, 4, &total);
-    total
-}
-
-/// Status-reporting reference matmul through the scalar event ops.
-#[allow(clippy::too_many_arguments)]
-#[deprecated(
-    since = "0.1.0",
-    note = "use `ArithCtx::with_tier(KernelTier::Scalar)` and `ArithCtx::matmul8`"
-)]
-pub fn matmul8_status_scalar(
-    fmt: Format8,
-    a: &[u8],
-    b: &[u8],
-    out: &mut [u8],
-    m: usize,
-    k: usize,
-    n: usize,
-) -> StatusCounters {
-    status_scalar(fmt, a, b, out, m, k, n)
-}
-
-/// Status-reporting serial table matmul.
-#[allow(clippy::too_many_arguments)]
-#[deprecated(
-    since = "0.1.0",
-    note = "use `ArithCtx::with_tier(KernelTier::Table)` and `ArithCtx::matmul8`"
-)]
-pub fn matmul8_status_table(
-    fmt: Format8,
-    a: &[u8],
-    b: &[u8],
-    out: &mut [u8],
-    m: usize,
-    k: usize,
-    n: usize,
-) -> StatusCounters {
-    status_table(fmt, a, b, out, m, k, n)
-}
-
-/// Status-reporting row-banded parallel table matmul.
-#[allow(clippy::too_many_arguments)]
-#[deprecated(
-    since = "0.1.0",
-    note = "use `ArithCtx::with_tier(KernelTier::Parallel)` and `ArithCtx::matmul8`"
-)]
-pub fn matmul8_status_parallel(
-    fmt: Format8,
-    a: &[u8],
-    b: &[u8],
-    out: &mut [u8],
-    m: usize,
-    k: usize,
-    n: usize,
-) -> StatusCounters {
-    status_parallel(fmt, a, b, out, m, k, n)
+    let mut counters = StatusCounters::new();
+    for band in for_each_band(out, m, n, |rows, oband| {
+        matmul8_rows::<_, StatusCounters>(&op, a, b, oband, rows, k, n)
+    }) {
+        counters.merge(&band);
+    }
+    obs_status(m, k, n, 4, &counters);
+    counters
 }
 
 #[cfg(test)]

@@ -1,15 +1,14 @@
 //! The table tier's correctness contract: for every 8-bit format, the
 //! 64 KiB lookup tables agree with the bit-exact scalar ops on **all**
 //! 65 536 input pairs (including NaR, NaN, infinities and both zeros),
-//! and the parallel tensor kernels agree with the serial ones
-//! bit-for-bit on random shapes.
-
-// The deprecated convenience shims are part of the pinned surface here.
-#![allow(deprecated)]
+//! every op the generic u8 matmul loop runs agrees on every tier, and
+//! the parallel tensor kernels agree with the serial ones bit-for-bit on
+//! random shapes.
 
 use nga_kernels::{
-    add_table, matmul8, matmul8_parallel, matmul8_scalar, matmul_f32, matmul_f32_parallel,
-    mul_table, Format8, Kernel, LutOp, ParallelKernel, ScalarKernel, TableKernel,
+    add_table, matmul8, matmul8_parallel, matmul8_scalar, matmul8_tables, matmul_f32,
+    matmul_f32_parallel, mul_table, ArithCtx, BinaryTable, Format8, KernelTier, LutOp,
+    StatusCounters, StatusOp,
 };
 use proptest::prelude::*;
 
@@ -33,7 +32,7 @@ fn exhaustive_for(fmt: Format8) {
         for b in 0..=255u8 {
             assert_eq!(
                 mul.get(a, b),
-                fmt.mul_scalar(a, b),
+                fmt.mul_scalar_events(a, b).0,
                 "{} mul {a:#04x}{} × {b:#04x}{}",
                 fmt.id(),
                 label(fmt, a),
@@ -41,7 +40,7 @@ fn exhaustive_for(fmt: Format8) {
             );
             assert_eq!(
                 add.get(a, b),
-                fmt.add_scalar(a, b),
+                fmt.add_scalar_events(a, b).0,
                 "{} add {a:#04x}{} + {b:#04x}{}",
                 fmt.id(),
                 label(fmt, a),
@@ -83,33 +82,70 @@ fn nar_is_absorbing_for_posit8_ops() {
     }
 }
 
+/// Every op the generic u8 matmul loop runs — the scalar `Format8` op,
+/// `LutOp`, a raw `BinaryTable` pair and `StatusOp` — on every entry
+/// point and every `KernelTier` must agree with a naive `i, j, k` fold of
+/// `StatusOp`, codes and counters alike. nga-lint's kernel-consistency
+/// rule checks that each op is named here.
 #[test]
-fn kernel_trait_tiers_match_scalar_reference_on_every_format() {
-    // Every `impl Kernel` must be equivalent to the scalar reference on
-    // both domains — nga-lint's kernel-consistency rule checks that each
-    // tier is named here.
-    let tiers: [&dyn Kernel; 3] = [&ScalarKernel, &TableKernel, &ParallelKernel];
-    let (m, k, n) = (7, 9, 5);
-    let af: Vec<f32> = (0..m * k).map(|i| i as f32 * 0.03 - 0.4).collect();
-    let bf: Vec<f32> = (0..k * n).map(|i| 0.7 - i as f32 * 0.02).collect();
+fn every_op_and_tier_matches_naive_reference_on_every_format() {
+    // Odd m with m·n ≥ 16 384, so the parallel paths split uneven bands.
+    let (m, k, n) = (131, 5, 129);
     // Deterministic byte inputs that include NaR/NaN/inf codes.
     let a8: Vec<u8> = (0..m * k).map(|i| (i * 41 + 3) as u8).collect();
     let b8: Vec<u8> = (0..k * n).map(|i| (i * 97 + 128) as u8).collect();
-    let mut f32_ref = vec![0.0f32; m * n];
-    tiers[0].matmul_f32(&af, &bf, &mut f32_ref, m, k, n);
     for fmt in Format8::ALL {
-        let mut u8_ref = vec![0u8; m * n];
-        tiers[0].matmul8(fmt, &a8, &b8, &mut u8_ref, m, k, n);
-        for tier in &tiers[1..] {
-            let mut f = vec![0.0f32; m * n];
-            let mut u = vec![0u8; m * n];
-            tier.matmul_f32(&af, &bf, &mut f, m, k, n);
-            tier.matmul8(fmt, &a8, &b8, &mut u, m, k, n);
-            let refb: Vec<u32> = f32_ref.iter().map(|v| v.to_bits()).collect();
-            let fb: Vec<u32> = f.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(fb, refb, "{} f32 ≡ scalar", tier.name());
-            assert_eq!(u, u8_ref, "{} {} ≡ scalar", tier.name(), fmt.id());
+        let status_op = StatusOp::new(fmt);
+        let mut want = vec![0u8; m * n];
+        let mut want_s = StatusCounters::new();
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = 0u8;
+                for x in 0..k {
+                    let (p, em) = status_op.mul(a8[i * k + x], b8[x * n + j]);
+                    let (s, ea) = status_op.add(acc, p);
+                    want_s.record(em);
+                    want_s.record(ea);
+                    acc = s;
+                }
+                want[i * n + j] = acc;
+            }
         }
+        let lut = LutOp::new(fmt);
+        let tables: (&BinaryTable, &BinaryTable) = (mul_table(fmt), add_table(fmt));
+        let mut out = vec![0u8; m * n];
+        matmul8_scalar(fmt, &a8, &b8, &mut out, m, k, n);
+        assert_eq!(out, want, "{} scalar ≡ reference", fmt.id());
+        matmul8(&lut, &a8, &b8, &mut out, m, k, n);
+        assert_eq!(out, want, "{} table ≡ reference", fmt.id());
+        matmul8_parallel(&lut, &a8, &b8, &mut out, m, k, n);
+        assert_eq!(out, want, "{} parallel ≡ reference", fmt.id());
+        matmul8_tables(tables.0, tables.1, &a8, &b8, &mut out, m, k, n);
+        assert_eq!(out, want, "{} raw tables ≡ reference", fmt.id());
+        for tier in KernelTier::ALL {
+            let mut ctx = ArithCtx::labeled("equivalence").with_tier(tier);
+            let s = ctx.matmul8(fmt, &a8, &b8, &mut out, m, k, n);
+            assert_eq!(out, want, "{} {tier} ctx ≡ reference", fmt.id());
+            assert_eq!(s, want_s, "{} {tier} ctx counters ≡ reference", fmt.id());
+        }
+    }
+}
+
+#[test]
+fn f32_matmul_is_bit_identical_on_every_tier() {
+    let (m, k, n) = (131, 5, 129);
+    let af: Vec<f32> = (0..m * k).map(|i| i as f32 * 0.03 - 0.4).collect();
+    let bf: Vec<f32> = (0..k * n).map(|i| 0.7 - i as f32 * 0.02).collect();
+    let mut want = vec![0.0f32; m * n];
+    matmul_f32(&af, &bf, &mut want, m, k, n);
+    let want: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+    for tier in KernelTier::ALL {
+        let mut out = vec![0.0f32; m * n];
+        ArithCtx::labeled("equivalence")
+            .with_tier(tier)
+            .matmul_f32(&af, &bf, &mut out, m, k, n);
+        let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, want, "{tier} f32 ≡ serial");
     }
 }
 

@@ -9,9 +9,6 @@
 //! 3. the LUT tier reproduces the scalar ops bit-for-bit on every
 //!    special operand (NaR, NaN, ±inf, ±0) against all 256 partners.
 
-// The deprecated convenience shims are part of the pinned surface here.
-#![allow(deprecated)]
-
 use nga_core::{Posit, PositFormat};
 use nga_kernels::{add_table, mul_table, Format8};
 use nga_softfloat::{FloatFormat, SoftFloat};
@@ -133,25 +130,25 @@ fn lut_tier_matches_scalar_on_all_special_operands() {
             for b in 0..=255u8 {
                 assert_eq!(
                     mul.get(s, b),
-                    fmt.mul_scalar(s, b),
+                    fmt.mul_scalar_events(s, b).0,
                     "{} mul {s:#04x} × {b:#04x}",
                     fmt.id()
                 );
                 assert_eq!(
                     mul.get(b, s),
-                    fmt.mul_scalar(b, s),
+                    fmt.mul_scalar_events(b, s).0,
                     "{} mul {b:#04x} × {s:#04x}",
                     fmt.id()
                 );
                 assert_eq!(
                     add.get(s, b),
-                    fmt.add_scalar(s, b),
+                    fmt.add_scalar_events(s, b).0,
                     "{} add {s:#04x} + {b:#04x}",
                     fmt.id()
                 );
                 assert_eq!(
                     add.get(b, s),
-                    fmt.add_scalar(b, s),
+                    fmt.add_scalar_events(b, s).0,
                     "{} add {b:#04x} + {s:#04x}",
                     fmt.id()
                 );

@@ -40,4 +40,4 @@ cmp TRACE_REPORT.quick.json TRACE_REPORT.quick.json.rerun || {
     exit 1
 }
 rm -f TRACE_REPORT.quick.json.rerun
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings

@@ -1,27 +1,19 @@
 //! Conformance contract for the unified `ArithCtx` surface: everything
 //! reachable through `nextgen_arith::prelude` must be bit- and
-//! event-identical to the older per-crate surfaces it replaces, so
-//! migrating a caller can never change numerics.
+//! event-identical to the scalar event ops it is built on, so migrating a
+//! caller can never change numerics.
 //!
 //! Three layers are pinned:
 //!
 //! 1. `ArithCtx::mul`/`add` vs `Format8::{mul,add}_scalar_events` —
 //!    exhaustive over all 65 536 code pairs for every 8-bit format,
 //!    both output codes and folded event counters;
-//! 2. `ArithCtx::matmul8` vs the deprecated `matmul8_status_*` free
-//!    functions — per tier, output codes and counters;
+//! 2. `ArithCtx::matmul8` vs a naive matmul folded from the same scalar
+//!    event ops — per tier, output codes and counters;
 //! 3. the prelude itself: every re-exported item is usable from one
 //!    `use` line.
 
-// Half of this file's purpose is pinning the deprecated shims.
-#![allow(deprecated)]
-
 use nextgen_arith::prelude::*;
-
-#[allow(deprecated)]
-use nextgen_arith::kernels::{
-    matmul8_status_parallel, matmul8_status_scalar, matmul8_status_table,
-};
 
 /// Replays a scalar-op sweep through both surfaces and demands identical
 /// codes and identical sticky counters.
@@ -45,38 +37,31 @@ fn ctx_scalar_ops_match_event_surface_exhaustively() {
     }
 }
 
-/// The deprecated convenience shims (no event reporting) agree with the
-/// event surface the context uses, so pre-`ArithCtx` callers see the
-/// same codes.
-#[test]
-fn deprecated_scalar_shims_agree_with_event_surface() {
-    for fmt in Format8::ALL {
-        for a in 0..=255u8 {
-            for b in 0..=255u8 {
-                assert_eq!(fmt.mul_scalar(a, b), fmt.mul_scalar_events(a, b).0);
-                assert_eq!(fmt.add_scalar(a, b), fmt.add_scalar_events(a, b).0);
-            }
-        }
-    }
-}
-
 /// `ArithCtx::matmul8` through each tier is bit- and counter-identical
-/// to the deprecated per-tier free functions.
+/// to a naive `i, j, k` matmul folded from the scalar event ops (one mul
+/// and one add event per MAC, ascending `k` from the zero code).
 #[test]
-fn ctx_matmul_matches_deprecated_per_tier_functions() {
+fn ctx_matmul_matches_scalar_event_reference_per_tier() {
     let (m, k, n) = (5, 7, 6);
     let a: Vec<u8> = (0..m * k).map(|i| (i * 37 + 11) as u8).collect();
     let b: Vec<u8> = (0..k * n).map(|i| (i * 91 + 3) as u8).collect();
-    type StatusFn = fn(Format8, &[u8], &[u8], &mut [u8], usize, usize, usize) -> StatusCounters;
-    let old: [(KernelTier, StatusFn); 3] = [
-        (KernelTier::Scalar, matmul8_status_scalar),
-        (KernelTier::Table, matmul8_status_table),
-        (KernelTier::Parallel, matmul8_status_parallel),
-    ];
     for fmt in Format8::ALL {
-        for (tier, old_fn) in old {
-            let mut want = vec![0u8; m * n];
-            let want_s = old_fn(fmt, &a, &b, &mut want, m, k, n);
+        let mut want = vec![0u8; m * n];
+        let mut want_s = StatusCounters::new();
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = 0u8;
+                for x in 0..k {
+                    let (p, em) = fmt.mul_scalar_events(a[i * k + x], b[x * n + j]);
+                    let (s, ea) = fmt.add_scalar_events(acc, p);
+                    want_s.record(em);
+                    want_s.record(ea);
+                    acc = s;
+                }
+                want[i * n + j] = acc;
+            }
+        }
+        for tier in KernelTier::ALL {
             let mut ctx = ArithCtx::labeled("conform:matmul").with_tier(tier);
             let mut out = vec![0u8; m * n];
             let s = ctx.matmul8(fmt, &a, &b, &mut out, m, k, n);

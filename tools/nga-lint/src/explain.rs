@@ -45,9 +45,10 @@ pub fn explain(rule: &str) -> Option<&'static str> {
             "kernel-consistency (R4)\n\
              =======================\n\
              Cross-file structural checks for the kernels crate:\n\
-             * every `impl Kernel for T` must appear in the `NGA_KERNEL` dispatch\n\
-               function and in the equivalence-test suite (an unregistered or untested\n\
-               tier is a silent correctness hole);\n\
+             * every `impl <op trait> for T` (`Mac8`: one multiply-accumulate step of\n\
+               the generic u8 matmul loop) must be named by a configured tier entry\n\
+               point (`dispatch_fn`, one name or a list) and by the equivalence-test\n\
+               suite (an unreachable or untested op is a silent correctness hole);\n\
              * per-format LUT cache arrays (`[OnceLock<…>; N]`) must have exactly one\n\
                slot per `Format8` variant, matching `Format8::ALL`;\n\
              * LUT entry arrays must hold `(1 << code_bits)²` entries — the exhaustive\n\

@@ -1,9 +1,11 @@
 //! R4 `kernel-consistency`: cross-file structural checks tying the
 //! kernels crate together.
 //!
-//! * Every `impl Kernel for T` in the kernels crate must be reachable
-//!   from the `NGA_KERNEL` dispatch function and exercised by the
-//!   equivalence-test suite.
+//! * Every `impl <Trait> for T` of the configured op trait in the kernels
+//!   crate must be named by one of the configured dispatch functions (the
+//!   tier entry points) and exercised by the equivalence-test suite.
+//!   Tuple and reference targets such as `(&A, &A)` count as their first
+//!   named type.
 //! * The per-format LUT cache arrays must have one slot per `Format8`
 //!   variant (and match the `ALL` constant's declared length).
 //! * LUT entry counts must equal `(1 << code_bits)²` — the exhaustive
@@ -44,7 +46,9 @@ fn read_lexed(root: &Path, rel: &str, out: &mut Vec<Finding>) -> Option<Lexed> {
     }
 }
 
-/// `impl Kernel for T` occurrences: `(type name, line)`.
+/// `impl <Trait> for T` occurrences: `(type name, line)`. For a compound
+/// target (`(&A, &B)`, `&mut A`, `[A; N]`) the name is its first type
+/// identifier.
 fn kernel_impls(lexed: &Lexed, trait_name: &str) -> Vec<(String, usize)> {
     let toks = &lexed.toks;
     let mut found = Vec::new();
@@ -74,10 +78,12 @@ fn kernel_impls(lexed: &Lexed, trait_name: &str) -> Vec<(String, usize)> {
             }
         }
         if is_ident(toks.get(j), trait_name) && is_ident(toks.get(j + 1), "for") {
-            if let Some(t) = toks.get(j + 2) {
-                if t.kind == TokKind::Ident {
-                    found.push((t.text.clone(), t.line));
-                }
+            let target = toks[j + 2..]
+                .iter()
+                .take_while(|t| t.kind != TokKind::Punct(b'{'))
+                .find(|t| t.kind == TokKind::Ident && !matches!(t.text.as_str(), "mut" | "dyn"));
+            if let Some(t) = target {
+                found.push((t.text.clone(), t.line));
             }
         }
         i = j + 1;
@@ -85,8 +91,8 @@ fn kernel_impls(lexed: &Lexed, trait_name: &str) -> Vec<(String, usize)> {
     found
 }
 
-/// The set of identifiers inside the body of `fn <name>`.
-fn fn_body_idents(lexed: &Lexed, name: &str) -> Option<BTreeSet<String>> {
+/// The set of identifiers in the signature and body of `fn <name>`.
+fn fn_idents(lexed: &Lexed, name: &str) -> Option<BTreeSet<String>> {
     let toks = &lexed.toks;
     let start = toks
         .iter()
@@ -95,7 +101,7 @@ fn fn_body_idents(lexed: &Lexed, name: &str) -> Option<BTreeSet<String>> {
         .map(|(i, _)| i)?;
     let mut depth = 0usize;
     let mut idents = BTreeSet::new();
-    for t in &toks[start..] {
+    for t in &toks[start + 2..] {
         match &t.kind {
             TokKind::Punct(b'{') => depth += 1,
             TokKind::Punct(b'}') => {
@@ -104,7 +110,9 @@ fn fn_body_idents(lexed: &Lexed, name: &str) -> Option<BTreeSet<String>> {
                     return Some(idents);
                 }
             }
-            TokKind::Ident if depth > 0 => {
+            // A bodiless declaration (`fn f(…);`) ends at its semicolon.
+            TokKind::Punct(b';') if depth == 0 => return Some(idents),
+            TokKind::Ident => {
                 idents.insert(t.text.clone());
             }
             _ => {}
@@ -211,12 +219,20 @@ pub fn run(root: &Path, policy: &RulePolicy, out: &mut Vec<Finding>) {
         return; // rule not configured
     };
     let dispatch_file = policy.string("dispatch_file").unwrap_or_default();
-    let dispatch_fn = policy.string("dispatch_fn").unwrap_or("default_kernel");
+    // One dispatch function, or a list of tier entry points.
+    let dispatch_fns: Vec<&str> = match policy.string("dispatch_fn") {
+        Some(f) => vec![f],
+        None => policy
+            .list("dispatch_fn")
+            .iter()
+            .map(String::as_str)
+            .collect(),
+    };
     let trait_name = policy.string("kernel_trait").unwrap_or("Kernel");
     let equivalence = policy.string("equivalence_tests").unwrap_or_default();
     let code_bits = policy.int("code_bits").unwrap_or(8) as u32;
 
-    // 1. Collect `impl Kernel for T` across the kernels crate sources.
+    // 1. Collect `impl <Trait> for T` across the kernels crate sources.
     let mut impls: Vec<(String, String, usize)> = Vec::new();
     let mut files: Vec<String> = Vec::new();
     collect_rs_files(root, kernels_src, &mut files);
@@ -236,28 +252,42 @@ pub fn run(root: &Path, policy: &RulePolicy, out: &mut Vec<Finding>) {
         ));
     }
 
-    // 2. Each impl must be registered in the dispatch match…
+    // 2. Each impl must be named by a dispatch function…
+    if dispatch_fns.is_empty() {
+        out.push(finding(
+            dispatch_file,
+            0,
+            "no `dispatch_fn` configured".to_string(),
+        ));
+    }
     if let Some(lexed) = read_lexed(root, dispatch_file, out) {
-        match fn_body_idents(&lexed, dispatch_fn) {
-            Some(idents) => {
-                for (name, rel, line) in &impls {
-                    if !idents.contains(name) {
-                        out.push(finding(
-                            rel,
-                            *line,
-                            format!(
-                                "`{name}` implements `{trait_name}` but is not registered in \
-                                 `{dispatch_fn}()` ({dispatch_file})"
-                            ),
-                        ));
-                    }
-                }
+        let mut named = BTreeSet::new();
+        for f in &dispatch_fns {
+            match fn_idents(&lexed, f) {
+                Some(idents) => named.extend(idents),
+                None => out.push(finding(
+                    dispatch_file,
+                    0,
+                    format!("dispatch function `fn {f}` not found"),
+                )),
             }
-            None => out.push(finding(
-                dispatch_file,
-                0,
-                format!("dispatch function `fn {dispatch_fn}` not found"),
-            )),
+        }
+        let registry = dispatch_fns
+            .iter()
+            .map(|f| format!("`{f}()`"))
+            .collect::<Vec<_>>()
+            .join(", ");
+        for (name, rel, line) in &impls {
+            if !named.contains(name) {
+                out.push(finding(
+                    rel,
+                    *line,
+                    format!(
+                        "`{name}` implements `{trait_name}` but is not registered in \
+                         {registry} ({dispatch_file})"
+                    ),
+                ));
+            }
         }
     }
 
@@ -380,15 +410,23 @@ mod tests {
         let lexed = lex(
             "impl Kernel for ScalarKernel { fn name(&self) -> &str { \"s\" } }\n\
              impl<T: Clone> Kernel for Generic<T> {}\n\
-             pub fn default_kernel() -> u8 { let _ = ScalarKernel; 0 }\n",
+             impl<'a> Kernel for (&'a Table, &'a Table) {}\n\
+             impl Kernel for &mut Other {}\n\
+             pub fn default_kernel() -> u8 { let _ = ScalarKernel; 0 }\n\
+             pub fn tables(t: &Table) { run(t) }\n\
+             fn declared(o: Other);\n",
         );
         let impls = kernel_impls(&lexed, "Kernel");
-        assert_eq!(impls.len(), 2);
-        assert_eq!(impls[0].0, "ScalarKernel");
-        assert_eq!(impls[1].0, "Generic");
-        let body = fn_body_idents(&lexed, "default_kernel").expect("fn found");
+        let names: Vec<&str> = impls.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["ScalarKernel", "Generic", "Table", "Other"]);
+        let body = fn_idents(&lexed, "default_kernel").expect("fn found");
         assert!(body.contains("ScalarKernel"));
         assert!(!body.contains("Generic"));
+        // Parameter types count as named by the function.
+        let sig = fn_idents(&lexed, "tables").expect("fn found");
+        assert!(sig.contains("Table") && !sig.contains("ScalarKernel"));
+        let decl = fn_idents(&lexed, "declared").expect("fn found");
+        assert!(decl.contains("Other") && !decl.contains("Table"));
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //!   computed indexing in arithmetic-crate library paths.
 //! * **R3 `no-unsafe`** — no `unsafe` anywhere; crate roots must carry
 //!   `#![forbid(unsafe_code)]`.
-//! * **R4 `kernel-consistency`** — every `Kernel` impl is dispatched and
-//!   equivalence-tested; LUT shapes agree with the format enum.
+//! * **R4 `kernel-consistency`** — every `Mac8` op impl is reachable from
+//!   a tier entry point and equivalence-tested; LUT shapes agree with the
+//!   format enum.
 //! * **R5 `no-env-time`** — no ambient `std::env`/`std::time` reads
 //!   outside kernel selection and benches.
 //! * **R6 `ctx-single-source`** — `NGA_KERNEL` is read in exactly one
