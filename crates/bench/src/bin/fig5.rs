@@ -85,8 +85,9 @@ fn kws_task(name: &'static str, seed: u64) -> Task {
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     banner("Fig. 5 — accuracy with 10 approximate multipliers on 3 DNNs");
-    println!(
-        "kernels: im2col + MAC-LUT tensor layer, {} worker thread(s)\n",
+    // Host-dependent, so it goes to stderr: stdout is the pinned artifact.
+    eprintln!(
+        "kernels: im2col + MAC-LUT tensor layer, {} worker thread(s)",
         nga_kernels::num_threads()
     );
 

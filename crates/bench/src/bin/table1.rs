@@ -15,8 +15,9 @@ use nga_nn::train::{accuracy, accuracy_approx, train_float, TrainConfig};
 
 fn main() {
     banner("Table I — DNN characteristics");
-    println!(
-        "kernels: im2col + MAC-LUT tensor layer, {} worker thread(s)\n",
+    // Host-dependent, so it goes to stderr: stdout is the pinned artifact.
+    eprintln!(
+        "kernels: im2col + MAC-LUT tensor layer, {} worker thread(s)",
         nga_kernels::num_threads()
     );
 
