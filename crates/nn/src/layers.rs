@@ -6,6 +6,13 @@
 //! favours being *obviously correct* (so the arithmetic experiments above
 //! it are trustworthy) over speed; the experiment binaries run in release
 //! mode where this is fast enough for the paper's scaled workloads.
+//!
+//! A depthwise convolution is a grouped convolution with one input
+//! channel per group, so [`Conv2d`] and [`DwConv2d`] share one direct
+//! backward loop (`conv_backward`). Their forwards stay separate: the
+//! plain convolution runs im2col + GEMM, the depthwise one a direct
+//! clipped-window loop. Every weight layer keeps its gradients, momentum
+//! buffers and forward-input cache in one private `TrainState`.
 
 use std::fmt;
 
@@ -59,11 +66,7 @@ pub struct Conv2d {
     pub stride: usize,
     /// Zero padding on every edge.
     pub pad: usize,
-    grad_w: Tensor,
-    grad_b: Tensor,
-    vel_w: Tensor,
-    vel_b: Tensor,
-    cache_in: Option<Tensor>,
+    train: TrainState,
 }
 
 impl Conv2d {
@@ -86,21 +89,15 @@ impl Conv2d {
             bias: Tensor::zeros(&[out_ch]),
             stride,
             pad,
-            grad_w: Tensor::zeros(&[out_ch, in_ch, k, k]),
-            grad_b: Tensor::zeros(&[out_ch]),
-            vel_w: Tensor::zeros(&[out_ch, in_ch, k, k]),
-            vel_b: Tensor::zeros(&[out_ch]),
-            cache_in: None,
+            train: TrainState::new(&[out_ch, in_ch, k, k], out_ch),
         }
     }
 
     /// Output shape for a given input shape.
     #[must_use]
     pub fn out_shape(&self, in_shape: &[usize]) -> Vec<usize> {
-        let (h, w) = (in_shape[1], in_shape[2]);
         let k = self.weights.shape()[2];
-        let oh = (h + 2 * self.pad - k) / self.stride + 1;
-        let ow = (w + 2 * self.pad - k) / self.stride + 1;
+        let (oh, ow) = conv_out_hw(in_shape, k, self.stride, self.pad);
         vec![self.weights.shape()[0], oh, ow]
     }
 
@@ -135,54 +132,12 @@ impl Conv2d {
         );
         Tensor::from_vec(&os, out)
     }
-
-    fn backward_impl(&mut self, grad_y: &Tensor) -> Result<Tensor, BackwardError> {
-        let Some(x) = self.cache_in.as_ref().cloned() else {
-            return Err(BackwardError::missing("Conv2d"));
-        };
-        let [out_ch, in_ch, k, _] = *self.weights.shape() else {
-            unreachable!()
-        };
-        let (h, w) = (x.shape()[1], x.shape()[2]);
-        let (oh, ow) = (grad_y.shape()[1], grad_y.shape()[2]);
-        let mut grad_x = Tensor::zeros(x.shape());
-        for oc in 0..out_ch {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let g = grad_y.at3(oc, oy, ox);
-                    if g == 0.0 {
-                        continue;
-                    }
-                    self.grad_b.data_mut()[oc] += g;
-                    for ic in 0..in_ch {
-                        for ky in 0..k {
-                            let iy = (oy * self.stride + ky) as isize - self.pad as isize;
-                            if iy < 0 || iy >= h as isize {
-                                continue;
-                            }
-                            for kx in 0..k {
-                                let ix = (ox * self.stride + kx) as isize - self.pad as isize;
-                                if ix < 0 || ix >= w as isize {
-                                    continue;
-                                }
-                                let widx = ((oc * in_ch + ic) * k + ky) * k + kx;
-                                self.grad_w.data_mut()[widx] +=
-                                    g * x.at3(ic, iy as usize, ix as usize);
-                                *grad_x.at3_mut(ic, iy as usize, ix as usize) +=
-                                    g * self.weights.data()[widx];
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        Ok(grad_x)
-    }
 }
 
 /// A depthwise 2-D convolution: each channel is convolved with its own
-/// `k×k` kernel (the building block of depthwise-separable CNNs like the
-/// Hello-Edge DS-CNN keyword spotters).
+/// `k×k` kernel, i.e. a grouped convolution with one channel per group
+/// (the building block of depthwise-separable CNNs like the Hello-Edge
+/// DS-CNN keyword spotters).
 #[derive(Debug, Clone)]
 pub struct DwConv2d {
     /// Weights `[ch, k, k]`.
@@ -193,11 +148,7 @@ pub struct DwConv2d {
     pub stride: usize,
     /// Zero padding on every edge.
     pub pad: usize,
-    grad_w: Tensor,
-    grad_b: Tensor,
-    vel_w: Tensor,
-    vel_b: Tensor,
-    cache_in: Option<Tensor>,
+    train: TrainState,
 }
 
 impl DwConv2d {
@@ -211,21 +162,15 @@ impl DwConv2d {
             bias: Tensor::zeros(&[ch]),
             stride,
             pad,
-            grad_w: Tensor::zeros(&[ch, k, k]),
-            grad_b: Tensor::zeros(&[ch]),
-            vel_w: Tensor::zeros(&[ch, k, k]),
-            vel_b: Tensor::zeros(&[ch]),
-            cache_in: None,
+            train: TrainState::new(&[ch, k, k], ch),
         }
     }
 
     /// Output shape for a given input shape.
     #[must_use]
     pub fn out_shape(&self, in_shape: &[usize]) -> Vec<usize> {
-        let (h, w) = (in_shape[1], in_shape[2]);
         let k = self.weights.shape()[1];
-        let oh = (h + 2 * self.pad - k) / self.stride + 1;
-        let ow = (w + 2 * self.pad - k) / self.stride + 1;
+        let (oh, ow) = conv_out_hw(in_shape, k, self.stride, self.pad);
         vec![in_shape[0], oh, ow]
     }
 
@@ -289,46 +234,6 @@ impl DwConv2d {
         });
         Tensor::from_vec(&os, y)
     }
-
-    fn backward_impl(&mut self, grad_y: &Tensor) -> Result<Tensor, BackwardError> {
-        let Some(x) = self.cache_in.as_ref().cloned() else {
-            return Err(BackwardError::missing("DwConv2d"));
-        };
-        let [ch, k, _] = *self.weights.shape() else {
-            unreachable!()
-        };
-        let (h, w) = (x.shape()[1], x.shape()[2]);
-        let (oh, ow) = (grad_y.shape()[1], grad_y.shape()[2]);
-        let mut grad_x = Tensor::zeros(x.shape());
-        for c in 0..ch {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let g = grad_y.at3(c, oy, ox);
-                    if g == 0.0 {
-                        continue;
-                    }
-                    self.grad_b.data_mut()[c] += g;
-                    for ky in 0..k {
-                        let iy = (oy * self.stride + ky) as isize - self.pad as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        for kx in 0..k {
-                            let ix = (ox * self.stride + kx) as isize - self.pad as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            let widx = (c * k + ky) * k + kx;
-                            self.grad_w.data_mut()[widx] += g * x.at3(c, iy as usize, ix as usize);
-                            *grad_x.at3_mut(c, iy as usize, ix as usize) +=
-                                g * self.weights.data()[widx];
-                        }
-                    }
-                }
-            }
-        }
-        Ok(grad_x)
-    }
 }
 
 /// A fully-connected layer.
@@ -338,11 +243,7 @@ pub struct Dense {
     pub weights: Tensor,
     /// Bias `[out]`.
     pub bias: Tensor,
-    grad_w: Tensor,
-    grad_b: Tensor,
-    vel_w: Tensor,
-    vel_b: Tensor,
-    cache_in: Option<Tensor>,
+    train: TrainState,
 }
 
 impl Dense {
@@ -354,11 +255,7 @@ impl Dense {
         Self {
             weights: Tensor::from_vec(&[out, input], data),
             bias: Tensor::zeros(&[out]),
-            grad_w: Tensor::zeros(&[out, input]),
-            grad_b: Tensor::zeros(&[out]),
-            vel_w: Tensor::zeros(&[out, input]),
-            vel_b: Tensor::zeros(&[out]),
-            cache_in: None,
+            train: TrainState::new(&[out, input], out),
         }
     }
 
@@ -405,7 +302,8 @@ impl Dense {
     }
 
     fn backward_impl(&mut self, grad_y: &Tensor) -> Result<Tensor, BackwardError> {
-        let Some(x) = self.cache_in.as_ref().cloned() else {
+        let st = &mut self.train;
+        let Some(x) = st.cache_in.as_ref() else {
             return Err(BackwardError::missing("Dense"));
         };
         let [out, input] = *self.weights.shape() else {
@@ -414,9 +312,9 @@ impl Dense {
         let mut grad_x = Tensor::zeros(&[input]);
         for o in 0..out {
             let g = grad_y.data()[o];
-            self.grad_b.data_mut()[o] += g;
+            st.grad_b.data_mut()[o] += g;
             for i in 0..input {
-                self.grad_w.data_mut()[o * input + i] += g * x.data()[i];
+                st.grad_w.data_mut()[o * input + i] += g * x.data()[i];
                 grad_x.data_mut()[i] += g * self.weights.data()[o * input + i];
             }
         }
@@ -545,15 +443,15 @@ impl Layer {
         let _span = nga_obs::span(self.kind());
         match self {
             Layer::Conv2d(c) => {
-                c.cache_in = Some(x.clone());
+                c.train.cache_in = Some(x.clone());
                 c.forward_impl(x)
             }
             Layer::DwConv2d(c) => {
-                c.cache_in = Some(x.clone());
+                c.train.cache_in = Some(x.clone());
                 c.forward_impl(x)
             }
             Layer::Dense(d) => {
-                d.cache_in = Some(x.clone());
+                d.train.cache_in = Some(x.clone());
                 d.forward_impl(x)
             }
             Layer::Relu { mask } => {
@@ -600,8 +498,13 @@ impl Layer {
     pub fn backward(&mut self, grad: &Tensor) -> Result<Tensor, BackwardError> {
         let _span = nga_obs::span(self.kind());
         match self {
-            Layer::Conv2d(c) => c.backward_impl(grad),
-            Layer::DwConv2d(c) => c.backward_impl(grad),
+            Layer::Conv2d(c) => conv_backward(&mut c.train, &c.weights, grad, 1, c.stride, c.pad)
+                .ok_or(BackwardError::missing("Conv2d")),
+            Layer::DwConv2d(c) => {
+                let groups = c.weights.shape()[0];
+                conv_backward(&mut c.train, &c.weights, grad, groups, c.stride, c.pad)
+                    .ok_or(BackwardError::missing("DwConv2d"))
+            }
             Layer::Dense(d) => d.backward_impl(grad),
             Layer::Relu { mask } => {
                 let Some(mask) = mask.as_ref() else {
@@ -667,18 +570,9 @@ impl Layer {
     /// SGD-with-momentum update; zeroes accumulated gradients.
     pub fn step(&mut self, lr: f32, momentum: f32) {
         match self {
-            Layer::Conv2d(c) => {
-                sgd(&mut c.weights, &mut c.grad_w, &mut c.vel_w, lr, momentum);
-                sgd(&mut c.bias, &mut c.grad_b, &mut c.vel_b, lr, momentum);
-            }
-            Layer::DwConv2d(c) => {
-                sgd(&mut c.weights, &mut c.grad_w, &mut c.vel_w, lr, momentum);
-                sgd(&mut c.bias, &mut c.grad_b, &mut c.vel_b, lr, momentum);
-            }
-            Layer::Dense(d) => {
-                sgd(&mut d.weights, &mut d.grad_w, &mut d.vel_w, lr, momentum);
-                sgd(&mut d.bias, &mut d.grad_b, &mut d.vel_b, lr, momentum);
-            }
+            Layer::Conv2d(c) => c.train.step(&mut c.weights, &mut c.bias, lr, momentum),
+            Layer::DwConv2d(c) => c.train.step(&mut c.weights, &mut c.bias, lr, momentum),
+            Layer::Dense(d) => d.train.step(&mut d.weights, &mut d.bias, lr, momentum),
             Layer::Residual(r) => {
                 for l in r.main.iter_mut().chain(r.shortcut.iter_mut()) {
                     l.step(lr, momentum);
@@ -837,13 +731,113 @@ impl Network {
     }
 }
 
-fn sgd(w: &mut Tensor, g: &mut Tensor, v: &mut Tensor, lr: f32, momentum: f32) {
-    for i in 0..w.len() {
-        let vel = momentum * v.data()[i] - lr * g.data()[i];
-        v.data_mut()[i] = vel;
-        w.data_mut()[i] += vel;
-        g.data_mut()[i] = 0.0;
+/// Training state of one weight layer: gradient accumulators and
+/// momentum buffers shaped like its weights and bias, and the input
+/// cached by the last training forward pass.
+#[derive(Debug, Clone)]
+struct TrainState {
+    grad_w: Tensor,
+    grad_b: Tensor,
+    vel_w: Tensor,
+    vel_b: Tensor,
+    cache_in: Option<Tensor>,
+}
+
+impl TrainState {
+    fn new(w_shape: &[usize], bias_len: usize) -> Self {
+        Self {
+            grad_w: Tensor::zeros(w_shape),
+            grad_b: Tensor::zeros(&[bias_len]),
+            vel_w: Tensor::zeros(w_shape),
+            vel_b: Tensor::zeros(&[bias_len]),
+            cache_in: None,
+        }
     }
+
+    /// SGD-with-momentum update of `weights` and `bias`; zeroes the
+    /// accumulated gradients.
+    fn step(&mut self, weights: &mut Tensor, bias: &mut Tensor, lr: f32, momentum: f32) {
+        for (w, g, v) in [
+            (weights, &mut self.grad_w, &mut self.vel_w),
+            (bias, &mut self.grad_b, &mut self.vel_b),
+        ] {
+            for ((w, g), v) in w.data_mut().iter_mut().zip(g.data_mut()).zip(v.data_mut()) {
+                let vel = momentum * *v - lr * *g;
+                *v = vel;
+                *w += vel;
+                *g = 0.0;
+            }
+        }
+    }
+}
+
+/// Output `(height, width)` of a `k×k` convolution with the given stride
+/// and zero padding on a `[c, h, w]` input.
+pub(crate) fn conv_out_hw(
+    in_shape: &[usize],
+    k: usize,
+    stride: usize,
+    pad: usize,
+) -> (usize, usize) {
+    let dim = |n: usize| (n + 2 * pad - k) / stride + 1;
+    (dim(in_shape[1]), dim(in_shape[2]))
+}
+
+/// Direct backward pass of a grouped convolution with weights
+/// `[out_ch, in_ch / groups, k, k]` (a depthwise `[ch, k, k]` is the same
+/// layout with `groups == ch`). Accumulates the weight and bias gradients
+/// into `st` and returns the input gradient, or `None` if `st` holds no
+/// forward cache. Output pixels with a zero gradient are skipped.
+fn conv_backward(
+    st: &mut TrainState,
+    weights: &Tensor,
+    grad_y: &Tensor,
+    groups: usize,
+    stride: usize,
+    pad: usize,
+) -> Option<Tensor> {
+    let x = st.cache_in.as_ref()?;
+    let out_ch = weights.shape()[0];
+    let k = weights.shape()[weights.shape().len() - 1];
+    let in_ch = weights.len() / (out_ch * k * k);
+    let oc_per_group = out_ch / groups;
+    let (h, w) = (x.shape()[1], x.shape()[2]);
+    let (oh, ow) = (grad_y.shape()[1], grad_y.shape()[2]);
+    let (wdata, xdata) = (weights.data(), x.data());
+    let grad_w = st.grad_w.data_mut();
+    let mut grad_x = Tensor::zeros(x.shape());
+    let gx = grad_x.data_mut();
+    for (oc, grad_b) in st.grad_b.data_mut().iter_mut().enumerate() {
+        let ic0 = oc / oc_per_group * in_ch;
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let g = grad_y.at3(oc, oy, ox);
+                if g == 0.0 {
+                    continue;
+                }
+                *grad_b += g;
+                for ic in 0..in_ch {
+                    for ky in 0..k {
+                        let iy = (oy * stride + ky) as isize - pad as isize;
+                        if iy < 0 || iy >= h as isize {
+                            continue;
+                        }
+                        for kx in 0..k {
+                            let ix = (ox * stride + kx) as isize - pad as isize;
+                            if ix < 0 || ix >= w as isize {
+                                continue;
+                            }
+                            let widx = ((oc * in_ch + ic) * k + ky) * k + kx;
+                            let xidx = ((ic0 + ic) * h + iy as usize) * w + ix as usize;
+                            grad_w[widx] += g * xdata[xidx];
+                            gx[xidx] += g * wdata[widx];
+                        }
+                    }
+                }
+            }
+        }
+    }
+    Some(grad_x)
 }
 
 /// 2×2 max pooling, NaN-aware: poisoned (NaN) lanes are skipped so a
@@ -1004,7 +998,7 @@ mod tests {
         // grad_w[o][i] should equal x[i] for a sum loss.
         for o in 0..3 {
             for i in 0..4 {
-                assert!((d.grad_w.data()[o * 4 + i] - x.data()[i]).abs() < 1e-6);
+                assert!((d.train.grad_w.data()[o * 4 + i] - x.data()[i]).abs() < 1e-6);
             }
         }
     }
@@ -1073,7 +1067,10 @@ mod tests {
     fn backward_without_forward_cache_is_an_error_not_a_panic() {
         let mut rng = rng();
         let fresh: Vec<(Layer, &str)> = vec![
-            (Layer::Conv2d(Conv2d::new(&mut rng, 1, 1, 3, 1, 1)), "Conv2d"),
+            (
+                Layer::Conv2d(Conv2d::new(&mut rng, 1, 1, 3, 1, 1)),
+                "Conv2d",
+            ),
             (
                 Layer::DwConv2d(DwConv2d::new(&mut rng, 1, 3, 1, 1)),
                 "DwConv2d",

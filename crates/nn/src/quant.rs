@@ -10,8 +10,12 @@
 //! [`ApproxMultiplier`] on `(|w|, activation)` magnitudes, with
 //! zero-point folding and bias addition kept exact (the accumulator is a
 //! plain `i32`/`f32`, as in the AxDNN-style studies the paper cites).
+//!
+//! Plain and depthwise convolutions quantize to the same grouped layer
+//! and run one int8 conv loop; only their trace scopes (`qconv2d`,
+//! `qdwconv2d`) tell them apart.
 
-use crate::layers::{Layer, Network};
+use crate::layers::{conv_out_hw, Layer, Network};
 use crate::tensor::Tensor;
 use nga_approx::ApproxMultiplier;
 
@@ -51,29 +55,24 @@ impl QuantParams {
     }
 }
 
-/// A quantized convolution layer.
+/// A quantized grouped convolution layer: the input channels split into
+/// `groups` equal groups, each convolved with its own share of the
+/// output channels. `groups == 1` is a plain convolution and one input
+/// channel per group is a depthwise one.
 #[derive(Debug, Clone)]
 struct QConv {
+    /// Weights `[out_ch, in_ch / groups, k, k]`.
     wq: Vec<i8>,
-    w_shape: [usize; 4],
-    w_scale: f32,
-    bias: Vec<f32>,
-    stride: usize,
-    pad: usize,
-    in_q: QuantParams,
-}
-
-/// A quantized depthwise convolution layer.
-#[derive(Debug, Clone)]
-struct QDwConv {
-    wq: Vec<i8>,
-    ch: usize,
+    out_ch: usize,
     k: usize,
+    groups: usize,
     w_scale: f32,
     bias: Vec<f32>,
     stride: usize,
     pad: usize,
     in_q: QuantParams,
+    /// Trace scope of the float layer kind this came from.
+    span: &'static str,
 }
 
 /// A quantized dense layer.
@@ -90,7 +89,6 @@ struct QDense {
 #[derive(Debug, Clone)]
 enum QLayer {
     Conv(QConv),
-    DwConv(QDwConv),
     Dense(QDense),
     Relu,
     MaxPool2,
@@ -158,33 +156,11 @@ fn build(layers: &[Layer], mut acts: Vec<Tensor>) -> (Vec<QLayer>, Vec<Tensor>) 
     for layer in layers {
         let ql = match layer {
             Layer::Conv2d(c) => {
-                let in_q = range_of(&acts);
-                let (wq, w_scale) = quantize_weights(c.weights.data());
-                let s = c.weights.shape();
-                QLayer::Conv(QConv {
-                    wq,
-                    w_shape: [s[0], s[1], s[2], s[3]],
-                    w_scale,
-                    bias: c.bias.data().to_vec(),
-                    stride: c.stride,
-                    pad: c.pad,
-                    in_q,
-                })
+                quantize_conv(&acts, &c.weights, &c.bias, 1, c.stride, c.pad, "qconv2d")
             }
             Layer::DwConv2d(c) => {
-                let in_q = range_of(&acts);
-                let (wq, w_scale) = quantize_weights(c.weights.data());
-                let s = c.weights.shape();
-                QLayer::DwConv(QDwConv {
-                    wq,
-                    ch: s[0],
-                    k: s[1],
-                    w_scale,
-                    bias: c.bias.data().to_vec(),
-                    stride: c.stride,
-                    pad: c.pad,
-                    in_q,
-                })
+                let ch = c.weights.shape()[0];
+                quantize_conv(&acts, &c.weights, &c.bias, ch, c.stride, c.pad, "qdwconv2d")
             }
             Layer::Dense(d) => {
                 let in_q = range_of(&acts);
@@ -216,6 +192,34 @@ fn build(layers: &[Layer], mut acts: Vec<Tensor>) -> (Vec<QLayer>, Vec<Tensor>) 
         out.push(ql);
     }
     (out, acts)
+}
+
+/// Quantizes a conv layer with weights `[out, in / groups, k, k]` (a
+/// depthwise `[ch, k, k]` is the same layout with one input channel per
+/// group).
+fn quantize_conv(
+    acts: &[Tensor],
+    weights: &Tensor,
+    bias: &Tensor,
+    groups: usize,
+    stride: usize,
+    pad: usize,
+    span: &'static str,
+) -> QLayer {
+    let (wq, w_scale) = quantize_weights(weights.data());
+    let s = weights.shape();
+    QLayer::Conv(QConv {
+        wq,
+        out_ch: s[0],
+        k: s[s.len() - 1],
+        groups,
+        w_scale,
+        bias: bias.data().to_vec(),
+        stride,
+        pad,
+        in_q: range_of(acts),
+        span,
+    })
 }
 
 /// Activation range over all calibration tensors.
@@ -268,12 +272,8 @@ fn approx_mac(m: ApproxMultiplier, w: i8, a: u8) -> i32 {
 fn eval(l: &QLayer, x: &Tensor, m: ApproxMultiplier) -> Tensor {
     match l {
         QLayer::Conv(c) => {
-            let _span = nga_obs::span("qconv2d");
+            let _span = nga_obs::span(c.span);
             conv_forward(c, x, m)
-        }
-        QLayer::DwConv(c) => {
-            let _span = nga_obs::span("qdwconv2d");
-            dwconv_forward(c, x, m)
         }
         QLayer::Dense(d) => {
             let _span = nga_obs::span("qdense");
@@ -300,31 +300,34 @@ fn eval(l: &QLayer, x: &Tensor, m: ApproxMultiplier) -> Tensor {
     }
 }
 
+/// The one int8 convolution loop: per output channel, per output pixel,
+/// the kernel window is clipped to the input once and walked over the
+/// channel's group of input planes in ascending `(ic, ky, kx)` order.
 fn conv_forward(c: &QConv, x: &Tensor, m: ApproxMultiplier) -> Tensor {
-    let [out_ch, in_ch, k, _] = c.w_shape;
+    let (out_ch, k) = (c.out_ch, c.k);
+    let per_oc = c.wq.len() / out_ch;
+    let in_ch = per_oc / (k * k);
     let (h, w) = (x.shape()[1], x.shape()[2]);
-    let oh = (h + 2 * c.pad - k) / c.stride + 1;
-    let ow = (w + 2 * c.pad - k) / c.stride + 1;
+    assert_eq!(x.shape()[0], in_ch * c.groups, "channel count");
+    let (oh, ow) = conv_out_hw(x.shape(), k, c.stride, c.pad);
     // Quantize the input feature map once.
     let xq: Vec<u8> = x.data().iter().map(|&v| c.in_q.quantize(v)).collect();
     let rescale = c.w_scale * c.in_q.scale;
     let mac = nga_kernels::mac_table(m);
     let npix = oh * ow;
+    let oc_per_group = out_ch / c.groups;
     // Interior pixels see every kernel tap, so their Σw is the full
     // per-channel weight sum; only clipped border pixels recompute it.
-    let full_wsum: Vec<i32> = (0..out_ch)
-        .map(|oc| {
-            c.wq[oc * in_ch * k * k..(oc + 1) * in_ch * k * k]
-                .iter()
-                .map(|&wv| i32::from(wv))
-                .sum()
-        })
-        .collect();
-    record_qmacs((out_ch * in_ch * k * k * npix) as u64);
+    let full_wsum: Vec<i32> =
+        c.wq.chunks(per_oc)
+            .map(|ws| ws.iter().map(|&wv| i32::from(wv)).sum())
+            .collect();
+    record_qmacs((out_ch * per_oc * npix) as u64);
     let mut y = vec![0.0f32; out_ch * npix];
     nga_kernels::for_each_band(&mut y, out_ch, npix, |ocs, band| {
         for (loc, oc) in ocs.enumerate() {
-            let wq = &c.wq[oc * in_ch * k * k..(oc + 1) * in_ch * k * k];
+            let wq = &c.wq[oc * per_oc..(oc + 1) * per_oc];
+            let planes = &xq[oc / oc_per_group * in_ch * h * w..];
             let orow = &mut band[loc * npix..(loc + 1) * npix];
             let mut oidx = 0;
             for oy in 0..oh {
@@ -339,7 +342,7 @@ fn conv_forward(c: &QConv, x: &Tensor, m: ApproxMultiplier) -> Tensor {
                     let mut acc: i32 = 0;
                     let mut wsum: i32 = if clipped { 0 } else { full_wsum[oc] };
                     for ic in 0..in_ch {
-                        let plane = &xq[ic * h * w..(ic + 1) * h * w];
+                        let plane = &planes[ic * h * w..(ic + 1) * h * w];
                         let wch = &wq[ic * k * k..(ic + 1) * k * k];
                         for ky in ky_lo..ky_hi {
                             let ibase =
@@ -366,67 +369,6 @@ fn conv_forward(c: &QConv, x: &Tensor, m: ApproxMultiplier) -> Tensor {
         }
     });
     Tensor::from_vec(&[out_ch, oh, ow], y)
-}
-
-fn dwconv_forward(c: &QDwConv, x: &Tensor, m: ApproxMultiplier) -> Tensor {
-    let (ch, k) = (c.ch, c.k);
-    let (h, w) = (x.shape()[1], x.shape()[2]);
-    let oh = (h + 2 * c.pad - k) / c.stride + 1;
-    let ow = (w + 2 * c.pad - k) / c.stride + 1;
-    let xq: Vec<u8> = x.data().iter().map(|&v| c.in_q.quantize(v)).collect();
-    let rescale = c.w_scale * c.in_q.scale;
-    let mac = nga_kernels::mac_table(m);
-    let npix = oh * ow;
-    let full_wsum: Vec<i32> = (0..ch)
-        .map(|cc| {
-            c.wq[cc * k * k..(cc + 1) * k * k]
-                .iter()
-                .map(|&wv| i32::from(wv))
-                .sum()
-        })
-        .collect();
-    record_qmacs((ch * k * k * npix) as u64);
-    let mut y = vec![0.0f32; ch * npix];
-    nga_kernels::for_each_band(&mut y, ch, npix, |chans, band| {
-        for (lc, cc) in chans.enumerate() {
-            let plane = &xq[cc * h * w..(cc + 1) * h * w];
-            let wk = &c.wq[cc * k * k..(cc + 1) * k * k];
-            let orow = &mut band[lc * npix..(lc + 1) * npix];
-            let mut oidx = 0;
-            for oy in 0..oh {
-                let iy0 = (oy * c.stride) as isize - c.pad as isize;
-                let ky_lo = (-iy0).clamp(0, k as isize) as usize;
-                let ky_hi = (h as isize - iy0).clamp(0, k as isize) as usize;
-                for ox in 0..ow {
-                    let ix0 = (ox * c.stride) as isize - c.pad as isize;
-                    let kx_lo = (-ix0).clamp(0, k as isize) as usize;
-                    let kx_hi = (w as isize - ix0).clamp(0, k as isize) as usize;
-                    let clipped = ky_hi - ky_lo < k || kx_hi - kx_lo < k;
-                    let mut acc: i32 = 0;
-                    let mut wsum: i32 = if clipped { 0 } else { full_wsum[cc] };
-                    for ky in ky_lo..ky_hi {
-                        let ibase =
-                            (iy0 + ky as isize) as usize * w + (ix0 + kx_lo as isize) as usize;
-                        let wbase = ky * k + kx_lo;
-                        let taps = kx_hi - kx_lo;
-                        for (&wv, &av) in wk[wbase..wbase + taps]
-                            .iter()
-                            .zip(&plane[ibase..ibase + taps])
-                        {
-                            acc += mac.mac(wv, av);
-                            if clipped {
-                                wsum += i32::from(wv);
-                            }
-                        }
-                    }
-                    let corrected = acc - c.in_q.zero * wsum;
-                    orow[oidx] = corrected as f32 * rescale + c.bias[cc];
-                    oidx += 1;
-                }
-            }
-        }
-    });
-    Tensor::from_vec(&[ch, oh, ow], y)
 }
 
 fn dense_forward(d: &QDense, x: &Tensor, m: ApproxMultiplier) -> Tensor {

@@ -24,19 +24,11 @@ use nga_approx::ApproxMultiplier;
 /// The gradient is the classic `softmax(logits) - onehot(label)`.
 #[must_use]
 pub fn softmax_xent(logits: &Tensor, label: usize) -> (f32, Tensor) {
-    let max = logits
-        .data()
-        .iter()
-        .cloned()
-        .fold(f32::NEG_INFINITY, f32::max);
-    let exps: Vec<f32> = logits.data().iter().map(|&v| (v - max).exp()).collect();
-    let sum: f32 = exps.iter().sum();
-    let probs: Vec<f32> = exps.iter().map(|&e| e / sum).collect();
-    nga_obs::record(|c| c.divs = c.divs.saturating_add(probs.len() as u64));
+    let probs = softmax(logits);
     let loss = -(probs[label].max(1e-12)).ln();
-    let mut grad = probs;
-    grad[label] -= 1.0;
-    (loss, Tensor::from_vec(logits.shape(), grad))
+    let mut grad = xent_grad_from_probs(&probs, label);
+    grad.reshape(logits.shape());
+    (loss, grad)
 }
 
 /// Cross-entropy gradient computed from externally supplied probabilities

@@ -14,9 +14,6 @@
 //!   clock (the `no-env-time` lint covers this crate); wall-clock timing
 //!   stays in `nga-bench` and the tools. A trace records *what* was
 //!   computed, never *when*.
-//! * **Compiled out on demand.** With the `obs-off` cargo feature every
-//!   entry point is an empty `#[inline]` function and [`Span`] is
-//!   zero-sized, so production builds pay nothing.
 //!
 //! # Model
 //!
@@ -50,14 +47,8 @@
 mod counters;
 mod report;
 
-#[cfg(not(feature = "obs-off"))]
-#[path = "enabled.rs"]
-mod imp;
-
-#[cfg(feature = "obs-off")]
-#[path = "disabled.rs"]
-mod imp;
+mod registry;
 
 pub use counters::OpCounts;
-pub use imp::{record, record_at, reset, snapshot, span, Span};
+pub use registry::{record, record_at, reset, snapshot, span, Span};
 pub use report::{ScopeRow, TraceReport};

@@ -41,3 +41,8 @@ cmp TRACE_REPORT.quick.json TRACE_REPORT.quick.json.rerun || {
 }
 rm -f TRACE_REPORT.quick.json.rerun
 cargo clippy --workspace --all-targets -- -D warnings
+# edgebench (the repo benchmark) is its own cargo workspace and the only
+# consumer of the nn/kernels/obs public surface outside this one, so
+# build, test and lint it against the current crates.
+cargo test --manifest-path edgebench/Cargo.toml --offline -q
+cargo clippy --manifest-path edgebench/Cargo.toml --offline --all-targets -- -D warnings
