@@ -85,7 +85,6 @@ fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let w = if quick { &QUICK } else { &FULL };
 
-    nga_obs::reset();
     run(w);
     let report = nga_obs::snapshot();
 
@@ -100,10 +99,10 @@ fn main() {
     println!(
         "wrote {path}: {} scopes, {} ops, {} muls, {} adds, {} lut hits, {} events",
         report.scopes.len(),
-        total.ops,
+        total.status.ops(),
         total.muls,
         total.adds,
         total.lut_hits,
-        total.events_total(),
+        total.status.events_total(),
     );
 }

@@ -6,8 +6,9 @@
 //! on edge devices that is still information worth surfacing: a NaR that
 //! appears mid-inference poisons every downstream MAC, and silent
 //! saturation is exactly the failure mode fixed-point designers audit for.
-//! This module mirrors `nga_softfloat::Flags`/`FlagCounters` with the three
-//! events a posit operation can raise.
+//! This module is the posit counterpart of `nga_softfloat::Flags`: the
+//! three events a posit operation can raise. `nga-kernels` translates
+//! them into `nga-obs`'s shared `Event8` alphabet, where they are counted.
 
 use std::fmt;
 use std::ops::{BitOr, BitOrAssign};
@@ -93,90 +94,6 @@ impl fmt::Display for PositEvents {
     }
 }
 
-/// Sticky per-event counters accumulated across many posit operations.
-///
-/// Counters saturate at `u64::MAX` instead of wrapping so the type stays
-/// panic-free under `-C overflow-checks`. Merging is commutative and
-/// associative, which keeps row-sharded kernel sweeps deterministic
-/// regardless of thread completion order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PositEventCounters {
-    ops: u64,
-    nar: u64,
-    inexact: u64,
-    saturated: u64,
-}
-
-impl PositEventCounters {
-    /// All counters zero.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record the events raised by one operation.
-    pub fn record(&mut self, events: PositEvents) {
-        self.ops = self.ops.saturating_add(1);
-        if events.contains(PositEvents::NAR) {
-            self.nar = self.nar.saturating_add(1);
-        }
-        if events.contains(PositEvents::INEXACT) {
-            self.inexact = self.inexact.saturating_add(1);
-        }
-        if events.contains(PositEvents::SATURATED) {
-            self.saturated = self.saturated.saturating_add(1);
-        }
-    }
-
-    /// Fold another accumulator into this one (order-independent).
-    pub fn merge(&mut self, other: &Self) {
-        self.ops = self.ops.saturating_add(other.ops);
-        self.nar = self.nar.saturating_add(other.nar);
-        self.inexact = self.inexact.saturating_add(other.inexact);
-        self.saturated = self.saturated.saturating_add(other.saturated);
-    }
-
-    /// The sticky union: every event raised at least once.
-    #[must_use]
-    pub fn union(&self) -> PositEvents {
-        let mut ev = PositEvents::NONE;
-        if self.nar > 0 {
-            ev |= PositEvents::NAR;
-        }
-        if self.inexact > 0 {
-            ev |= PositEvents::INEXACT;
-        }
-        if self.saturated > 0 {
-            ev |= PositEvents::SATURATED;
-        }
-        ev
-    }
-
-    /// Operations recorded.
-    #[must_use]
-    pub fn ops(&self) -> u64 {
-        self.ops
-    }
-
-    /// Operations that produced NaR from non-NaR inputs.
-    #[must_use]
-    pub fn nar(&self) -> u64 {
-        self.nar
-    }
-
-    /// Operations that rounded.
-    #[must_use]
-    pub fn inexact(&self) -> u64 {
-        self.inexact
-    }
-
-    /// Operations that saturated at `maxpos`/`minpos`.
-    #[must_use]
-    pub fn saturated(&self) -> u64 {
-        self.saturated
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,23 +105,5 @@ mod tests {
         assert!(!ev.contains(PositEvents::NAR));
         assert_eq!(ev.to_string(), "inexact|saturated");
         assert_eq!(PositEvents::NONE.to_string(), "-");
-    }
-
-    #[test]
-    fn counters_record_and_merge() {
-        let mut a = PositEventCounters::new();
-        a.record(PositEvents::NAR);
-        a.record(PositEvents::NONE);
-        let mut b = PositEventCounters::new();
-        b.record(PositEvents::INEXACT | PositEvents::SATURATED);
-        a.merge(&b);
-        assert_eq!(a.ops(), 3);
-        assert_eq!(a.nar(), 1);
-        assert_eq!(a.inexact(), 1);
-        assert_eq!(a.saturated(), 1);
-        assert_eq!(
-            a.union(),
-            PositEvents::NAR | PositEvents::INEXACT | PositEvents::SATURATED
-        );
     }
 }

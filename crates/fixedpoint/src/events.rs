@@ -4,8 +4,9 @@
 //! (handled by saturation or two's-complement wrap, per
 //! [`OverflowMode`](crate::OverflowMode)) and quantization (dropped
 //! fraction bits). Hardware DSPs expose both as status bits; this module
-//! mirrors `nga_softfloat::Flags`/`FlagCounters` so robustness sweeps can
-//! account for them per operation.
+//! is the fixed-point counterpart of `nga_softfloat::Flags`, so robustness
+//! sweeps can account for them per operation. `nga-kernels` translates
+//! them into `nga-obs`'s shared `Event8` alphabet, where they are counted.
 
 use std::fmt;
 use std::ops::{BitOr, BitOrAssign};
@@ -92,88 +93,6 @@ impl fmt::Display for FixedEvents {
     }
 }
 
-/// Sticky per-event counters accumulated across many fixed-point operations.
-///
-/// Counters saturate at `u64::MAX`; merging is order-independent so
-/// row-sharded sweeps stay deterministic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FixedEventCounters {
-    ops: u64,
-    saturated: u64,
-    wrapped: u64,
-    rounded: u64,
-}
-
-impl FixedEventCounters {
-    /// All counters zero.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record the events raised by one operation.
-    pub fn record(&mut self, events: FixedEvents) {
-        self.ops = self.ops.saturating_add(1);
-        if events.contains(FixedEvents::SATURATED) {
-            self.saturated = self.saturated.saturating_add(1);
-        }
-        if events.contains(FixedEvents::WRAPPED) {
-            self.wrapped = self.wrapped.saturating_add(1);
-        }
-        if events.contains(FixedEvents::ROUNDED) {
-            self.rounded = self.rounded.saturating_add(1);
-        }
-    }
-
-    /// Fold another accumulator into this one (order-independent).
-    pub fn merge(&mut self, other: &Self) {
-        self.ops = self.ops.saturating_add(other.ops);
-        self.saturated = self.saturated.saturating_add(other.saturated);
-        self.wrapped = self.wrapped.saturating_add(other.wrapped);
-        self.rounded = self.rounded.saturating_add(other.rounded);
-    }
-
-    /// The sticky union: every event raised at least once.
-    #[must_use]
-    pub fn union(&self) -> FixedEvents {
-        let mut ev = FixedEvents::NONE;
-        if self.saturated > 0 {
-            ev |= FixedEvents::SATURATED;
-        }
-        if self.wrapped > 0 {
-            ev |= FixedEvents::WRAPPED;
-        }
-        if self.rounded > 0 {
-            ev |= FixedEvents::ROUNDED;
-        }
-        ev
-    }
-
-    /// Operations recorded.
-    #[must_use]
-    pub fn ops(&self) -> u64 {
-        self.ops
-    }
-
-    /// Operations that saturated.
-    #[must_use]
-    pub fn saturated(&self) -> u64 {
-        self.saturated
-    }
-
-    /// Operations that wrapped.
-    #[must_use]
-    pub fn wrapped(&self) -> u64 {
-        self.wrapped
-    }
-
-    /// Operations that discarded nonzero fraction bits.
-    #[must_use]
-    pub fn rounded(&self) -> u64 {
-        self.rounded
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,23 +104,5 @@ mod tests {
         assert!(!ev.contains(FixedEvents::WRAPPED));
         assert_eq!(ev.to_string(), "saturated|rounded");
         assert_eq!(FixedEvents::NONE.to_string(), "-");
-    }
-
-    #[test]
-    fn counters_record_and_merge() {
-        let mut a = FixedEventCounters::new();
-        a.record(FixedEvents::SATURATED);
-        let mut b = FixedEventCounters::new();
-        b.record(FixedEvents::WRAPPED | FixedEvents::ROUNDED);
-        b.record(FixedEvents::NONE);
-        a.merge(&b);
-        assert_eq!(a.ops(), 3);
-        assert_eq!(a.saturated(), 1);
-        assert_eq!(a.wrapped(), 1);
-        assert_eq!(a.rounded(), 1);
-        assert_eq!(
-            a.union(),
-            FixedEvents::SATURATED | FixedEvents::WRAPPED | FixedEvents::ROUNDED
-        );
     }
 }

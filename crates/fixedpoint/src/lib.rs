@@ -36,7 +36,7 @@ mod fixed;
 mod format;
 
 pub use error::FixedError;
-pub use events::{FixedEventCounters, FixedEvents};
+pub use events::FixedEvents;
 pub use fixed::Fixed;
 pub use format::{FixedFormat, OverflowMode, RoundingMode};
 

@@ -51,7 +51,7 @@ where
         })
         .collect();
     // One `ops` tick per evaluated candidate: exploration effort.
-    nga_obs::record(|c| c.ops = c.ops.saturating_add(all.len() as u64));
+    nga_obs::record(|c| c.status.add_ops(all.len() as u64));
     all.sort_by(|a, b| a.cost.cmp(&b.cost).then(a.max_ulp.total_cmp(&b.max_ulp)));
 
     let best = all.iter().find(|c| c.max_ulp <= target_ulp).cloned();

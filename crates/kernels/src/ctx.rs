@@ -5,9 +5,10 @@
 //! `NGA_KERNEL` read at every call site), sticky [`StatusCounters`], and
 //! an observability span that every operation reports into.
 
+use nga_obs::{Event8, StatusCounters};
+
 use crate::format8::Format8;
 use crate::kernel::KernelTier;
-use crate::status::{Event8, StatusCounters};
 use crate::tensor;
 
 /// An arithmetic context: kernel-tier selection + sticky status +
@@ -113,8 +114,7 @@ impl ArithCtx {
         self.counters.record(ev);
         nga_obs::record_at(self.span.path(), |c| {
             c.muls = c.muls.saturating_add(1);
-            c.ops = c.ops.saturating_add(1);
-            c.add_event_bits(ev.bits());
+            c.status.record(ev);
         });
         r
     }
@@ -127,8 +127,7 @@ impl ArithCtx {
         self.counters.record(ev);
         nga_obs::record_at(self.span.path(), |c| {
             c.adds = c.adds.saturating_add(1);
-            c.ops = c.ops.saturating_add(1);
-            c.add_event_bits(ev.bits());
+            c.status.record(ev);
         });
         r
     }
@@ -153,7 +152,7 @@ impl ArithCtx {
             KernelTier::Parallel => tensor::status_parallel(fmt, a, b, out, m, k, n),
         };
         self.counters.merge(&s);
-        nga_obs::record_at(self.span.path(), |c| s.fold_into_obs(c));
+        nga_obs::record_at(self.span.path(), |c| c.status.merge(&s));
         s
     }
 

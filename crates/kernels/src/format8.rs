@@ -1,11 +1,10 @@
 //! The four 8-bit storage formats the paper's edge-inference study
 //! compares, unified behind one enum over raw `u8` codes.
 
-use nga_core::{Posit, PositFormat};
-use nga_fixed::{Fixed, FixedFormat, OverflowMode, RoundingMode};
-use nga_softfloat::{FloatFormat, SoftFloat};
-
-use crate::status::Event8;
+use nga_core::{Posit, PositEvents, PositFormat};
+use nga_fixed::{Fixed, FixedEvents, FixedFormat, OverflowMode, RoundingMode};
+use nga_obs::Event8;
+use nga_softfloat::{Flags, FloatFormat, SoftFloat};
 
 /// An 8-bit number format, identified so kernels can be generic over it.
 ///
@@ -70,14 +69,14 @@ impl Format8 {
                 let x = Posit::from_bits(u64::from(a), PositFormat::POSIT8);
                 let y = Posit::from_bits(u64::from(b), PositFormat::POSIT8);
                 let (r, ev) = x.mul_with_events(y);
-                (r.bits() as u8, Event8::from_posit(ev))
+                (r.bits() as u8, posit_events(ev))
             }
             Self::E4m3 | Self::E5m2 => {
                 let fmt = self.float_format();
                 let x = SoftFloat::from_bits(u64::from(a), fmt);
                 let y = SoftFloat::from_bits(u64::from(b), fmt);
                 let (r, fl) = x.mul_with_flags(y);
-                (r.bits() as u8, Event8::from_flags(fl))
+                (r.bits() as u8, float_flags(fl))
             }
             Self::Fixed8 => {
                 let fmt = Self::fixed_format();
@@ -91,7 +90,7 @@ impl Format8 {
                 });
                 debug_assert!(r.is_ok(), "Q4.4 product path cannot fail");
                 r.map_or((0, Event8::NONE), |(r, ev)| {
-                    (r.raw() as u8, Event8::from_fixed(ev))
+                    (r.raw() as u8, fixed_events(ev))
                 })
             }
         }
@@ -106,14 +105,14 @@ impl Format8 {
                 let x = Posit::from_bits(u64::from(a), PositFormat::POSIT8);
                 let y = Posit::from_bits(u64::from(b), PositFormat::POSIT8);
                 let (r, ev) = x.add_with_events(y);
-                (r.bits() as u8, Event8::from_posit(ev))
+                (r.bits() as u8, posit_events(ev))
             }
             Self::E4m3 | Self::E5m2 => {
                 let fmt = self.float_format();
                 let x = SoftFloat::from_bits(u64::from(a), fmt);
                 let y = SoftFloat::from_bits(u64::from(b), fmt);
                 let (r, fl) = x.add_with_flags(y);
-                (r.bits() as u8, Event8::from_flags(fl))
+                (r.bits() as u8, float_flags(fl))
             }
             Self::Fixed8 => {
                 let fmt = Self::fixed_format();
@@ -122,7 +121,7 @@ impl Format8 {
                 let r = x.checked_add_with_events(y);
                 debug_assert!(r.is_ok(), "same-format saturating add cannot fail");
                 r.map_or((0, Event8::NONE), |(r, ev)| {
-                    (r.raw() as u8, Event8::from_fixed(ev))
+                    (r.raw() as u8, fixed_events(ev))
                 })
             }
         }
@@ -171,9 +170,71 @@ fn fixed_from_code(code: u8, fmt: FixedFormat) -> Fixed {
     Fixed::from_raw(i128::from(code as i8), fmt).unwrap_or_else(|_| Fixed::zero(fmt))
 }
 
+/// Translates posit events into the unified alphabet.
+fn posit_events(ev: PositEvents) -> Event8 {
+    let mut e = Event8::NONE;
+    if ev.contains(PositEvents::NAR) {
+        e |= Event8::NAR_NAN;
+    }
+    if ev.contains(PositEvents::INEXACT) {
+        e |= Event8::INEXACT;
+    }
+    if ev.contains(PositEvents::SATURATED) {
+        e |= Event8::SATURATED;
+    }
+    e
+}
+
+/// Translates IEEE flags into the unified alphabet.
+fn float_flags(fl: Flags) -> Event8 {
+    let mut e = Event8::NONE;
+    if fl.contains(Flags::INVALID) {
+        e |= Event8::NAR_NAN;
+    }
+    if fl.contains(Flags::DIV_BY_ZERO) {
+        e |= Event8::DIV_BY_ZERO;
+    }
+    if fl.contains(Flags::OVERFLOW) {
+        e |= Event8::OVERFLOW;
+    }
+    if fl.contains(Flags::UNDERFLOW) {
+        e |= Event8::UNDERFLOW;
+    }
+    if fl.contains(Flags::INEXACT) {
+        e |= Event8::INEXACT;
+    }
+    e
+}
+
+/// Translates fixed-point events into the unified alphabet.
+fn fixed_events(ev: FixedEvents) -> Event8 {
+    let mut e = Event8::NONE;
+    if ev.contains(FixedEvents::SATURATED) {
+        e |= Event8::SATURATED;
+    }
+    if ev.contains(FixedEvents::WRAPPED) {
+        e |= Event8::WRAPPED;
+    }
+    if ev.contains(FixedEvents::ROUNDED) {
+        e |= Event8::INEXACT;
+    }
+    e
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn translations_cover_each_vocabulary() {
+        let p = posit_events(PositEvents::NAR | PositEvents::SATURATED);
+        assert!(p.contains(Event8::NAR_NAN | Event8::SATURATED));
+        let f = float_flags(Flags::OVERFLOW | Flags::INEXACT);
+        assert!(f.contains(Event8::OVERFLOW | Event8::INEXACT));
+        assert!(!f.contains(Event8::NAR_NAN));
+        let x = fixed_events(FixedEvents::WRAPPED | FixedEvents::ROUNDED);
+        assert!(x.contains(Event8::WRAPPED | Event8::INEXACT));
+    }
 
     #[test]
     fn posit8_known_codes() {

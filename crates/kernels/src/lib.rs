@@ -23,6 +23,11 @@
 //! [`MacTable`]: a 256 KiB signed multiply-accumulate table per
 //! [`nga_approx::ApproxMultiplier`], replacing a branch-and-widen per MAC
 //! with one indexed load.
+//!
+//! Status reporting uses `nga-obs`'s one event alphabet, re-exported
+//! here: [`Format8`] translates each source crate's events into an
+//! [`Event8`], and the status tiers count them into [`StatusCounters`],
+//! the same counter every trace scope carries.
 
 #![forbid(unsafe_code)]
 
@@ -30,15 +35,14 @@ mod ctx;
 mod format8;
 mod kernel;
 mod parallel;
-mod status;
 mod table;
 mod tensor;
 
 pub use ctx::ArithCtx;
 pub use format8::Format8;
 pub use kernel::KernelTier;
+pub use nga_obs::{Event8, StatusCounters};
 pub use parallel::{for_each_band, num_threads};
-pub use status::{Event8, StatusCounters};
 pub use table::{
     add_event_table, add_table, mac_table, mul_event_table, mul_table, BinaryTable, LutOp,
     MacTable, StatusOp,

@@ -7,9 +7,10 @@
 
 use std::ops::Range;
 
+use nga_obs::{Event8, StatusCounters};
+
 use crate::format8::Format8;
 use crate::parallel::for_each_band;
-use crate::status::{Event8, StatusCounters};
 use crate::table::{BinaryTable, LutOp, StatusOp};
 
 /// Records one matmul's worth of arithmetic against the current obs
@@ -27,7 +28,7 @@ fn obs_status(m: usize, k: usize, n: usize, luts_per_mac: u64, s: &StatusCounter
         c.muls = c.muls.saturating_add(macs);
         c.adds = c.adds.saturating_add(macs);
         c.lut_hits = c.lut_hits.saturating_add(macs.saturating_mul(luts_per_mac));
-        s.fold_into_obs(c);
+        c.status.merge(s);
     });
 }
 

@@ -1,27 +1,27 @@
 //! The per-scope counter record.
 
+use crate::status::StatusCounters;
+
 /// Monotonic operation counters for one scope.
 ///
 /// All fields saturate instead of wrapping, so merges are commutative and
-/// a trace can never go backwards. The seven event fields mirror the
-/// unified `Event8` alphabet from `nga-kernels` bit for bit (bit 0 =
-/// NaR/NaN … bit 6 = wrapped); [`OpCounts::add_event_bits`] folds a raw
-/// event byte in without this crate depending on the kernels crate.
+/// a trace can never go backwards. The generic work count and the seven
+/// event counts live in [`status`](Self::status), the same
+/// [`StatusCounters`] the kernels' status tiers return, so a sweep's
+/// counters fold into a scope with one [`StatusCounters::merge`].
 ///
 /// ```
-/// use nga_obs::OpCounts;
+/// use nga_obs::{Event8, OpCounts};
 /// let mut c = OpCounts::default();
 /// c.muls = 3;
-/// c.add_event_bits(0b10_0001); // NaR/NaN + saturated
-/// assert_eq!((c.nar_nan, c.saturated), (1, 1));
-/// assert_eq!(c.events_total(), 2);
+/// c.status.record(Event8::NAR_NAN | Event8::SATURATED);
+/// assert_eq!((c.status.nar_nan(), c.status.saturated()), (1, 1));
+/// assert_eq!(c.status.events_total(), 2);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpCounts {
     /// Times the scope was entered (incremented by `span()`).
     pub calls: u64,
-    /// Generic work items (explorer candidates, status-counter ops, …).
-    pub ops: u64,
     /// Scalar additions performed.
     pub adds: u64,
     /// Scalar multiplications performed.
@@ -30,77 +30,20 @@ pub struct OpCounts {
     pub divs: u64,
     /// 64 KiB / MAC-table lookups performed.
     pub lut_hits: u64,
-    /// Operations producing NaN/NaR from clean inputs (`Event8` bit 0).
-    pub nar_nan: u64,
-    /// Operations that rounded (`Event8` bit 1).
-    pub inexact: u64,
-    /// IEEE overflows to infinity (`Event8` bit 2).
-    pub overflow: u64,
-    /// IEEE underflows (`Event8` bit 3).
-    pub underflow: u64,
-    /// Divisions of finite nonzero by zero (`Event8` bit 4).
-    pub div_by_zero: u64,
-    /// Saturations at a format rail (`Event8` bit 5).
-    pub saturated: u64,
-    /// Two's-complement wraps (`Event8` bit 6).
-    pub wrapped: u64,
+    /// Generic work items (explorer candidates, status-counter ops, …)
+    /// and the per-event counts of the operations recorded here.
+    pub status: StatusCounters,
 }
 
 impl OpCounts {
     /// Fold `other` into `self` (saturating, order-independent).
     pub fn merge(&mut self, other: &Self) {
         self.calls = self.calls.saturating_add(other.calls);
-        self.ops = self.ops.saturating_add(other.ops);
         self.adds = self.adds.saturating_add(other.adds);
         self.muls = self.muls.saturating_add(other.muls);
         self.divs = self.divs.saturating_add(other.divs);
         self.lut_hits = self.lut_hits.saturating_add(other.lut_hits);
-        self.nar_nan = self.nar_nan.saturating_add(other.nar_nan);
-        self.inexact = self.inexact.saturating_add(other.inexact);
-        self.overflow = self.overflow.saturating_add(other.overflow);
-        self.underflow = self.underflow.saturating_add(other.underflow);
-        self.div_by_zero = self.div_by_zero.saturating_add(other.div_by_zero);
-        self.saturated = self.saturated.saturating_add(other.saturated);
-        self.wrapped = self.wrapped.saturating_add(other.wrapped);
-    }
-
-    /// Fold one raw event byte (the `Event8` bit layout) into the event
-    /// counters: each set bit increments its counter by one.
-    #[inline]
-    pub fn add_event_bits(&mut self, bits: u8) {
-        if bits & 0x01 != 0 {
-            self.nar_nan = self.nar_nan.saturating_add(1);
-        }
-        if bits & 0x02 != 0 {
-            self.inexact = self.inexact.saturating_add(1);
-        }
-        if bits & 0x04 != 0 {
-            self.overflow = self.overflow.saturating_add(1);
-        }
-        if bits & 0x08 != 0 {
-            self.underflow = self.underflow.saturating_add(1);
-        }
-        if bits & 0x10 != 0 {
-            self.div_by_zero = self.div_by_zero.saturating_add(1);
-        }
-        if bits & 0x20 != 0 {
-            self.saturated = self.saturated.saturating_add(1);
-        }
-        if bits & 0x40 != 0 {
-            self.wrapped = self.wrapped.saturating_add(1);
-        }
-    }
-
-    /// Sum of the seven event counters.
-    #[must_use]
-    pub fn events_total(&self) -> u64 {
-        self.nar_nan
-            .saturating_add(self.inexact)
-            .saturating_add(self.overflow)
-            .saturating_add(self.underflow)
-            .saturating_add(self.div_by_zero)
-            .saturating_add(self.saturated)
-            .saturating_add(self.wrapped)
+        self.status.merge(&other.status);
     }
 
     /// Whether every counter is zero.
@@ -113,6 +56,8 @@ impl OpCounts {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{ScopeRow, TraceReport};
+    use crate::status::Event8;
 
     #[test]
     fn merge_saturates_and_commutes() {
@@ -136,15 +81,42 @@ mod tests {
     }
 
     #[test]
-    fn event_bits_map_to_fields() {
-        let mut c = OpCounts::default();
-        c.add_event_bits(0x7F);
-        assert_eq!(c.events_total(), 7);
-        assert_eq!(c.wrapped, 1);
-        assert_eq!(c.nar_nan, 1);
-        c.add_event_bits(0x00);
-        assert_eq!(c.events_total(), 7);
-        assert!(!c.is_empty());
+    fn each_event_bit_maps_to_one_getter_and_one_json_key() {
+        type Getter = fn(&StatusCounters) -> u64;
+        let fields: [(Event8, Getter, &str); 7] = [
+            (Event8::NAR_NAN, StatusCounters::nar_nan, "nar_nan"),
+            (Event8::INEXACT, StatusCounters::inexact, "inexact"),
+            (Event8::OVERFLOW, StatusCounters::overflow, "overflow"),
+            (Event8::UNDERFLOW, StatusCounters::underflow, "underflow"),
+            (
+                Event8::DIV_BY_ZERO,
+                StatusCounters::div_by_zero,
+                "div_by_zero",
+            ),
+            (Event8::SATURATED, StatusCounters::saturated, "saturated"),
+            (Event8::WRAPPED, StatusCounters::wrapped, "wrapped"),
+        ];
+        for (i, &(ev, _, key)) in fields.iter().enumerate() {
+            assert_eq!(ev.bits(), 1 << i, "{key} is bit {i}");
+            let mut c = OpCounts::default();
+            c.status.record(ev);
+            assert!(!c.is_empty());
+            assert_eq!(c.status.ops(), 1);
+            assert_eq!(c.status.events_total(), 1);
+            let json = TraceReport {
+                scopes: vec![ScopeRow {
+                    path: "probe".into(),
+                    counts: c,
+                }],
+            }
+            .to_json("quick");
+            for &(_, get, other) in &fields {
+                let want = u64::from(other == key);
+                assert_eq!(get(&c.status), want, "{key}: getter {other}");
+                let pair = format!("\"{other}\": {want}");
+                assert!(json.contains(&pair), "{key}: json has {pair}");
+            }
+        }
         assert!(OpCounts::default().is_empty());
     }
 }

@@ -14,6 +14,11 @@
 //!   clock (the `no-env-time` lint covers this crate); wall-clock timing
 //!   stays in `nga-bench` and the tools. A trace records *what* was
 //!   computed, never *when*.
+//! * **One event alphabet.** [`Event8`] is the 7-bit status alphabet
+//!   every 8-bit format's events translate into (NaR/NaN, inexact, IEEE
+//!   overflow/underflow/div-by-zero, saturation, wrap), and
+//!   [`StatusCounters`] is its one counter: the kernels' status tiers
+//!   return it, and every scope's [`OpCounts::status`] is one.
 //!
 //! # Model
 //!
@@ -35,9 +40,10 @@
 //!         c.adds = c.adds.saturating_add(8);
 //!     });
 //! }
-//! nga_obs::record_at(root.path(), |c| c.ops = c.ops.saturating_add(1));
+//! nga_obs::record_at(root.path(), |c| c.status.record(nga_obs::Event8::INEXACT));
 //! let report = nga_obs::snapshot();
 //! assert_eq!(report.get("demo/matmul").map(|c| c.muls), Some(8));
+//! assert_eq!(report.get("demo").map(|c| c.status.inexact()), Some(1));
 //! let json = report.to_json("quick");
 //! assert!(json.contains("\"demo/matmul\""));
 //! ```
@@ -45,10 +51,11 @@
 #![forbid(unsafe_code)]
 
 mod counters;
-mod report;
-
 mod registry;
+mod report;
+mod status;
 
 pub use counters::OpCounts;
-pub use registry::{record, record_at, reset, snapshot, span, Span};
+pub use registry::{record, record_at, snapshot, span, Span};
 pub use report::{ScopeRow, TraceReport};
+pub use status::{Event8, StatusCounters};

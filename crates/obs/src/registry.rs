@@ -119,11 +119,6 @@ pub fn snapshot() -> TraceReport {
     })
 }
 
-/// Clears every counter (report emitters use this between workloads).
-pub fn reset() {
-    with_registry(|reg| reg.clear());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,25 +159,17 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_scopes() {
-        record_at("reset-probe", |c| c.ops = 1);
-        assert!(snapshot().get("reset-probe").is_some());
-        reset();
-        assert!(snapshot().get("reset-probe").is_none());
-    }
-
-    #[test]
     fn parallel_merge_is_order_independent() {
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
                     let _g = span("enabled-par");
-                    record(|c| c.ops = c.ops.saturating_add(10));
+                    record(|c| c.status.add_ops(10));
                 });
             }
         });
         let c = snapshot().get("enabled-par").copied().unwrap_or_default();
         assert_eq!(c.calls, 4);
-        assert_eq!(c.ops, 40);
+        assert_eq!(c.status.ops(), 40);
     }
 }

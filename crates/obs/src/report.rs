@@ -110,18 +110,18 @@ fn counts_json(c: &OpCounts) -> String {
          \"lut_hits\": {}, \"nar_nan\": {}, \"inexact\": {}, \"overflow\": {}, \
          \"underflow\": {}, \"div_by_zero\": {}, \"saturated\": {}, \"wrapped\": {}",
         c.calls,
-        c.ops,
+        c.status.ops(),
         c.adds,
         c.muls,
         c.divs,
         c.lut_hits,
-        c.nar_nan,
-        c.inexact,
-        c.overflow,
-        c.underflow,
-        c.div_by_zero,
-        c.saturated,
-        c.wrapped,
+        c.status.nar_nan(),
+        c.status.inexact(),
+        c.status.overflow(),
+        c.status.underflow(),
+        c.status.div_by_zero(),
+        c.status.saturated(),
+        c.status.wrapped(),
     )
 }
 

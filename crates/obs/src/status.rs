@@ -1,19 +1,15 @@
-//! Unified arithmetic status reporting across the 8-bit formats.
+//! The one event alphabet and its counter.
 //!
-//! Each source crate reports its own event vocabulary
-//! (`nga_softfloat::Flags`, `nga_core::PositEvents`,
-//! `nga_fixed::FixedEvents`); kernels need one byte-sized alphabet so a
-//! single 64 KiB event table per op covers every format and all three
-//! execution tiers report identically. [`Event8`] is that alphabet and
-//! [`StatusCounters`] the order-independent accumulator the row-banded
-//! sweeps merge into.
+//! Each number-format crate reports its own event vocabulary (IEEE
+//! flags, posit events, fixed-point events); the kernels translate them
+//! into one byte-sized alphabet, so a single 64 KiB event table per op
+//! covers every 8-bit format and all three execution tiers report
+//! identically. [`Event8`] is that alphabet and [`StatusCounters`] the
+//! order-independent accumulator that the row-banded sweeps merge into
+//! and that every trace scope ([`OpCounts`](crate::OpCounts)) carries.
 
 use std::fmt;
 use std::ops::{BitOr, BitOrAssign};
-
-use nga_core::PositEvents;
-use nga_fixed::FixedEvents;
-use nga_softfloat::Flags;
 
 /// Events one 8-bit scalar operation can raise, across all formats.
 ///
@@ -58,6 +54,7 @@ impl Event8 {
     }
 
     /// Whether all events in `other` are set in `self`.
+    #[inline]
     #[must_use]
     pub fn contains(&self, other: Self) -> bool {
         self.0 & other.0 == other.0
@@ -67,60 +64,6 @@ impl Event8 {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.0 == 0
-    }
-
-    /// Translates posit events into the unified alphabet.
-    #[must_use]
-    pub fn from_posit(ev: PositEvents) -> Self {
-        let mut e = Self::NONE;
-        if ev.contains(PositEvents::NAR) {
-            e |= Self::NAR_NAN;
-        }
-        if ev.contains(PositEvents::INEXACT) {
-            e |= Self::INEXACT;
-        }
-        if ev.contains(PositEvents::SATURATED) {
-            e |= Self::SATURATED;
-        }
-        e
-    }
-
-    /// Translates IEEE flags into the unified alphabet.
-    #[must_use]
-    pub fn from_flags(fl: Flags) -> Self {
-        let mut e = Self::NONE;
-        if fl.contains(Flags::INVALID) {
-            e |= Self::NAR_NAN;
-        }
-        if fl.contains(Flags::DIV_BY_ZERO) {
-            e |= Self::DIV_BY_ZERO;
-        }
-        if fl.contains(Flags::OVERFLOW) {
-            e |= Self::OVERFLOW;
-        }
-        if fl.contains(Flags::UNDERFLOW) {
-            e |= Self::UNDERFLOW;
-        }
-        if fl.contains(Flags::INEXACT) {
-            e |= Self::INEXACT;
-        }
-        e
-    }
-
-    /// Translates fixed-point events into the unified alphabet.
-    #[must_use]
-    pub fn from_fixed(ev: FixedEvents) -> Self {
-        let mut e = Self::NONE;
-        if ev.contains(FixedEvents::SATURATED) {
-            e |= Self::SATURATED;
-        }
-        if ev.contains(FixedEvents::WRAPPED) {
-            e |= Self::WRAPPED;
-        }
-        if ev.contains(FixedEvents::ROUNDED) {
-            e |= Self::INEXACT;
-        }
-        e
     }
 }
 
@@ -165,12 +108,21 @@ impl fmt::Display for Event8 {
     }
 }
 
-/// Per-event operation counters for a kernel sweep.
+/// Per-event operation counters for a kernel sweep or a trace scope.
 ///
 /// Merging is commutative and associative (saturating `u64` sums), so
 /// row-banded parallel kernels produce the same totals as serial ones no
 /// matter how rows are partitioned — the status analogue of the
 /// bit-identical-output guarantee.
+///
+/// ```
+/// use nga_obs::{Event8, StatusCounters};
+/// let mut c = StatusCounters::new();
+/// c.record(Event8::NAR_NAN | Event8::SATURATED);
+/// c.record(Event8::NONE);
+/// assert_eq!((c.ops(), c.nar_nan(), c.saturated()), (2, 1, 1));
+/// assert_eq!(c.union().to_string(), "nar_nan|saturated");
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StatusCounters {
     ops: u64,
@@ -217,6 +169,12 @@ impl StatusCounters {
         }
     }
 
+    /// Counts `n` work items that raised no event (e.g. explorer
+    /// candidates).
+    pub fn add_ops(&mut self, n: u64) {
+        self.ops = self.ops.saturating_add(n);
+    }
+
     /// Fold another accumulator into this one (order-independent).
     pub fn merge(&mut self, other: &Self) {
         self.ops = self.ops.saturating_add(other.ops);
@@ -257,18 +215,16 @@ impl StatusCounters {
         ev
     }
 
-    /// Folds these counters into an observability record:
-    /// [`ops`](Self::ops) accumulates into [`nga_obs::OpCounts::ops`] and
-    /// each event count into its counterpart field.
-    pub fn fold_into_obs(&self, c: &mut nga_obs::OpCounts) {
-        c.ops = c.ops.saturating_add(self.ops);
-        c.nar_nan = c.nar_nan.saturating_add(self.nar_nan);
-        c.inexact = c.inexact.saturating_add(self.inexact);
-        c.overflow = c.overflow.saturating_add(self.overflow);
-        c.underflow = c.underflow.saturating_add(self.underflow);
-        c.div_by_zero = c.div_by_zero.saturating_add(self.div_by_zero);
-        c.saturated = c.saturated.saturating_add(self.saturated);
-        c.wrapped = c.wrapped.saturating_add(self.wrapped);
+    /// Sum of the seven event counters.
+    #[must_use]
+    pub fn events_total(&self) -> u64 {
+        self.nar_nan
+            .saturating_add(self.inexact)
+            .saturating_add(self.overflow)
+            .saturating_add(self.underflow)
+            .saturating_add(self.div_by_zero)
+            .saturating_add(self.saturated)
+            .saturating_add(self.wrapped)
     }
 
     /// Operations recorded.
@@ -323,17 +279,6 @@ impl StatusCounters {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn translations_cover_each_vocabulary() {
-        let p = Event8::from_posit(PositEvents::NAR | PositEvents::SATURATED);
-        assert!(p.contains(Event8::NAR_NAN | Event8::SATURATED));
-        let f = Event8::from_flags(Flags::OVERFLOW | Flags::INEXACT);
-        assert!(f.contains(Event8::OVERFLOW | Event8::INEXACT));
-        assert!(!f.contains(Event8::NAR_NAN));
-        let x = Event8::from_fixed(FixedEvents::WRAPPED | FixedEvents::ROUNDED);
-        assert!(x.contains(Event8::WRAPPED | Event8::INEXACT));
-    }
 
     #[test]
     fn bits_round_trip() {

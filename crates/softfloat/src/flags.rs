@@ -51,131 +51,6 @@ impl Flags {
     }
 }
 
-/// Sticky per-flag counters accumulated across many operations.
-///
-/// IEEE 754 flags are *sticky*: once raised they stay raised until the
-/// program inspects and clears them. For robustness accounting we go one
-/// step further and count how many operations raised each flag, so a fault
-/// sweep can report "42 of 10⁶ MACs overflowed" rather than a single bit.
-/// Counters saturate at `u64::MAX` instead of wrapping, keeping the type
-/// panic-free under `-C overflow-checks`.
-///
-/// ```
-/// use nga_softfloat::{FlagCounters, Flags};
-/// let mut c = FlagCounters::new();
-/// c.record(Flags::OVERFLOW | Flags::INEXACT);
-/// c.record(Flags::INEXACT);
-/// assert_eq!(c.ops(), 2);
-/// assert_eq!(c.overflow(), 1);
-/// assert_eq!(c.inexact(), 2);
-/// assert!(c.union().contains(Flags::OVERFLOW));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FlagCounters {
-    ops: u64,
-    invalid: u64,
-    div_by_zero: u64,
-    overflow: u64,
-    underflow: u64,
-    inexact: u64,
-}
-
-impl FlagCounters {
-    /// All counters zero.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record the flags raised by one operation.
-    pub fn record(&mut self, flags: Flags) {
-        self.ops = self.ops.saturating_add(1);
-        if flags.contains(Flags::INVALID) {
-            self.invalid = self.invalid.saturating_add(1);
-        }
-        if flags.contains(Flags::DIV_BY_ZERO) {
-            self.div_by_zero = self.div_by_zero.saturating_add(1);
-        }
-        if flags.contains(Flags::OVERFLOW) {
-            self.overflow = self.overflow.saturating_add(1);
-        }
-        if flags.contains(Flags::UNDERFLOW) {
-            self.underflow = self.underflow.saturating_add(1);
-        }
-        if flags.contains(Flags::INEXACT) {
-            self.inexact = self.inexact.saturating_add(1);
-        }
-    }
-
-    /// Fold another accumulator into this one (order-independent).
-    pub fn merge(&mut self, other: &Self) {
-        self.ops = self.ops.saturating_add(other.ops);
-        self.invalid = self.invalid.saturating_add(other.invalid);
-        self.div_by_zero = self.div_by_zero.saturating_add(other.div_by_zero);
-        self.overflow = self.overflow.saturating_add(other.overflow);
-        self.underflow = self.underflow.saturating_add(other.underflow);
-        self.inexact = self.inexact.saturating_add(other.inexact);
-    }
-
-    /// The sticky union: every flag raised at least once.
-    #[must_use]
-    pub fn union(&self) -> Flags {
-        let mut f = Flags::NONE;
-        if self.invalid > 0 {
-            f |= Flags::INVALID;
-        }
-        if self.div_by_zero > 0 {
-            f |= Flags::DIV_BY_ZERO;
-        }
-        if self.overflow > 0 {
-            f |= Flags::OVERFLOW;
-        }
-        if self.underflow > 0 {
-            f |= Flags::UNDERFLOW;
-        }
-        if self.inexact > 0 {
-            f |= Flags::INEXACT;
-        }
-        f
-    }
-
-    /// Operations recorded.
-    #[must_use]
-    pub fn ops(&self) -> u64 {
-        self.ops
-    }
-
-    /// Operations that raised `invalid`.
-    #[must_use]
-    pub fn invalid(&self) -> u64 {
-        self.invalid
-    }
-
-    /// Operations that raised `divByZero`.
-    #[must_use]
-    pub fn div_by_zero(&self) -> u64 {
-        self.div_by_zero
-    }
-
-    /// Operations that raised `overflow`.
-    #[must_use]
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Operations that raised `underflow`.
-    #[must_use]
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Operations that raised `inexact`.
-    #[must_use]
-    pub fn inexact(&self) -> u64 {
-        self.inexact
-    }
-}
-
 impl BitOr for Flags {
     type Output = Self;
     fn bitor(self, rhs: Self) -> Self {
@@ -227,22 +102,6 @@ mod tests {
         f |= Flags::INEXACT;
         assert!(f.contains(Flags::UNDERFLOW | Flags::INEXACT));
         assert!(!f.contains(Flags::OVERFLOW));
-    }
-
-    #[test]
-    fn counters_record_merge_union() {
-        let mut a = FlagCounters::new();
-        a.record(Flags::INVALID);
-        a.record(Flags::NONE);
-        let mut b = FlagCounters::new();
-        b.record(Flags::UNDERFLOW | Flags::INEXACT);
-        a.merge(&b);
-        assert_eq!(a.ops(), 3);
-        assert_eq!(a.invalid(), 1);
-        assert_eq!(a.underflow(), 1);
-        assert_eq!(a.inexact(), 1);
-        assert_eq!(a.overflow(), 0);
-        assert_eq!(a.union(), Flags::INVALID | Flags::UNDERFLOW | Flags::INEXACT);
     }
 
     #[test]

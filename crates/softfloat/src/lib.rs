@@ -49,7 +49,7 @@ mod value;
 
 pub use analysis::{classify_region, dynamic_range_decades, RingCensus, RingRegion};
 pub use compare::{ComparisonPredicate, Relation};
-pub use flags::{FlagCounters, Flags};
+pub use flags::Flags;
 pub use format::{FloatFormat, Rounding, SubnormalMode};
 pub use interval::Interval;
 pub use value::{FloatClass, SoftFloat};

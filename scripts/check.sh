@@ -4,8 +4,13 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+# The root Cargo.toml's `default-members` lists every workspace member,
+# so the plain build and `cargo test -q` cover the whole workspace
+# (unit, integration and doc-tests), not only the root package.
 cargo build --release
 cargo test -q
+# Rustdoc gate: broken intra-doc links and other doc warnings fail.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # Workspace invariants (bit-exactness, panic-freedom, LUT/kernel
 # consistency): fails on any finding and refreshes LINT_REPORT.json.
 cargo run -q --release -p nga-lint -- --json

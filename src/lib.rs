@@ -87,7 +87,7 @@ pub use nga_softfloat as softfloat;
 /// // The trace registry saw the context's work.
 /// let report = obs::snapshot();
 /// let row = report.get("example").expect("scope recorded");
-/// assert_eq!(row.ops, 1 + 2 * 8);
+/// assert_eq!(row.status.ops(), 1 + 2 * 8);
 /// ```
 pub mod prelude {
     pub use nga_fixed::{Fixed, FixedFormat, RoundingMode};
