@@ -357,7 +357,9 @@ pub mod prelude {
     pub use crate::prop;
     pub use crate::strategy::{Just, Strategy};
     pub use crate::test_runner::Config as ProptestConfig;
-    pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest};
+    pub use crate::{
+        prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest,
+    };
 }
 
 /// Defines property tests. Supports `x in strategy` and `x: Type`

@@ -19,11 +19,7 @@ fn exhaustive_q44_saturating_add_matches_oracle() {
     for a in 0..=255u8 {
         for b in 0..=255u8 {
             let got = q44(a).checked_add(q44(b)).expect("same-format add");
-            assert_eq!(
-                raw_u8(&got),
-                fixedpt::add_q44(a, b),
-                "{a:#04x} + {b:#04x}"
-            );
+            assert_eq!(raw_u8(&got), fixedpt::add_q44(a, b), "{a:#04x} + {b:#04x}");
         }
     }
 }
@@ -33,11 +29,7 @@ fn exhaustive_q44_saturating_sub_matches_oracle() {
     for a in 0..=255u8 {
         for b in 0..=255u8 {
             let got = q44(a).checked_sub(q44(b)).expect("same-format sub");
-            assert_eq!(
-                raw_u8(&got),
-                fixedpt::sub_q44(a, b),
-                "{a:#04x} - {b:#04x}"
-            );
+            assert_eq!(raw_u8(&got), fixedpt::sub_q44(a, b), "{a:#04x} - {b:#04x}");
         }
     }
 }
@@ -49,14 +41,14 @@ fn exhaustive_q44_rounded_saturating_mul_matches_oracle() {
             let got = q44(a)
                 .mul_exact(&q44(b))
                 .and_then(|w| {
-                    w.convert(FixedFormat::Q4_4, RoundingMode::NearestEven, OverflowMode::Saturate)
+                    w.convert(
+                        FixedFormat::Q4_4,
+                        RoundingMode::NearestEven,
+                        OverflowMode::Saturate,
+                    )
                 })
                 .expect("Q4.4 product path");
-            assert_eq!(
-                raw_u8(&got),
-                fixedpt::mul_q44(a, b),
-                "{a:#04x} * {b:#04x}"
-            );
+            assert_eq!(raw_u8(&got), fixedpt::mul_q44(a, b), "{a:#04x} * {b:#04x}");
         }
     }
 }
@@ -92,13 +84,9 @@ fn exhaustive_q44_converts_match_oracle_in_every_mode() {
                     .convert(target, mode, OverflowMode::Saturate)
                     .expect("saturating convert")
                     .raw();
-                let want = fixedpt::convert_sat(
-                    i128::from(a as i8),
-                    FixedFormat::Q4_4,
-                    target,
-                    mode,
-                )
-                .expect("in oracle domain");
+                let want =
+                    fixedpt::convert_sat(i128::from(a as i8), FixedFormat::Q4_4, target, mode)
+                        .expect("in oracle domain");
                 assert_eq!(got, want, "convert {a:#04x} to {target:?} under {mode:?}");
             }
         }

@@ -34,10 +34,7 @@ fn exp2_inverts_log2_through_the_generated_operators() {
         let lg = l.eval_f64(raw); // log2(raw · 2^-10)
         let x_back = e.eval_f64((lg * 1024.0).round() as i64);
         let x = raw as f64 / 1024.0;
-        assert!(
-            (x_back - x).abs() / x < 0.004,
-            "exp2(log2({x})) = {x_back}"
-        );
+        assert!((x_back - x).abs() / x < 0.004, "exp2(log2({x})) = {x_back}");
     }
 }
 

@@ -166,9 +166,7 @@ fn lut_tier_nan_propagation_for_fp8() {
     ] {
         let mul = mul_table(fmt);
         let add = add_table(fmt);
-        let nans: Vec<u8> = (0..=255u8)
-            .filter(|&c| fp8(c, sf).is_nan())
-            .collect();
+        let nans: Vec<u8> = (0..=255u8).filter(|&c| fp8(c, sf).is_nan()).collect();
         assert!(!nans.is_empty(), "{} has NaN encodings", fmt.id());
         for &n in &nans {
             for b in 0..=255u8 {

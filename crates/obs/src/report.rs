@@ -41,7 +41,10 @@ impl TraceReport {
     /// The counters recorded at exactly `path`, if any.
     #[must_use]
     pub fn get(&self, path: &str) -> Option<&OpCounts> {
-        self.scopes.iter().find(|r| r.path == path).map(|r| &r.counts)
+        self.scopes
+            .iter()
+            .find(|r| r.path == path)
+            .map(|r| &r.counts)
     }
 
     /// Grand total across every scope.
@@ -98,7 +101,10 @@ impl TraceReport {
             ));
         }
         s.push_str("  ],\n");
-        s.push_str(&format!("  \"total\": {{{}}}\n", counts_json(&self.total())));
+        s.push_str(&format!(
+            "  \"total\": {{{}}}\n",
+            counts_json(&self.total())
+        ));
         s.push_str("}\n");
         s
     }

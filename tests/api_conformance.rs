@@ -85,7 +85,10 @@ fn prelude_walks() {
 
     // Scalar number systems.
     assert_eq!(Posit::from_f64(2.0, PositFormat::POSIT8).to_f64(), 2.0);
-    assert_eq!(SoftFloat::from_f64(2.0, FloatFormat::FP8_E4M3).to_f64(), 2.0);
+    assert_eq!(
+        SoftFloat::from_f64(2.0, FloatFormat::FP8_E4M3).to_f64(),
+        2.0
+    );
     let q = Fixed::from_f64(2.0, FixedFormat::Q4_4, RoundingMode::NearestEven).unwrap();
     assert_eq!(q.to_f64(), 2.0);
 

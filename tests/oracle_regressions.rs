@@ -124,7 +124,10 @@ fn ftz_flushes_subnormal_inputs_before_the_operation() {
 #[test]
 fn kernel_tiers_match_oracle_composition_on_boundary_codes() {
     use nga_kernels::{ArithCtx, Format8, KernelTier};
-    let codes: Vec<u8> = (0u8..=255).step_by(17).chain([0x7F, 0x80, 0x81, 0xFF]).collect();
+    let codes: Vec<u8> = (0u8..=255)
+        .step_by(17)
+        .chain([0x7F, 0x80, 0x81, 0xFF])
+        .collect();
     for fmt in Format8::ALL {
         for tier in KernelTier::ALL {
             let n = codes.len();

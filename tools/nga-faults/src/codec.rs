@@ -108,7 +108,11 @@ impl FormatKind {
     pub fn decode(self, code: u16) -> f32 {
         if let Some(fmt) = self.posit_format() {
             let p = Posit::from_bits(u64::from(code), fmt);
-            return if p.is_nar() { f32::NAN } else { p.to_f64() as f32 };
+            return if p.is_nar() {
+                f32::NAN
+            } else {
+                p.to_f64() as f32
+            };
         }
         if let Some(fmt) = self.float_format() {
             return SoftFloat::from_bits(u64::from(code), fmt).to_f64() as f32;

@@ -48,11 +48,9 @@ fn parse_args() -> Result<Cli, String> {
                 opts.threads = n.parse().map_err(|_| format!("bad thread count {n:?}"))?;
             }
             "--help" | "-h" => {
-                return Err(
-                    "usage: nga-faults [--quick] [--json [PATH]] [--seed N] \
+                return Err("usage: nga-faults [--quick] [--json [PATH]] [--seed N] \
                      [--threads N] [--quiet]"
-                        .to_string(),
-                );
+                    .to_string());
             }
             other => return Err(format!("unknown argument {other:?}")),
         }
@@ -61,7 +59,10 @@ fn parse_args() -> Result<Cli, String> {
 }
 
 fn print_summary(report: &Report) {
-    println!("nga-faults sweep ({} mode, seed {:#x})", report.mode, report.seed);
+    println!(
+        "nga-faults sweep ({} mode, seed {:#x})",
+        report.mode, report.seed
+    );
     println!("model degradation (top-1 accuracy, milli-percent):");
     for r in &report.models {
         println!(
@@ -88,7 +89,11 @@ fn print_summary(report: &Report) {
     }
     println!("lookup-table corruption (table tier vs scalar tier):");
     for r in &report.luts {
-        let status = if r.recovered { "recovered" } else { "NOT RECOVERED" };
+        let status = if r.recovered {
+            "recovered"
+        } else {
+            "NOT RECOVERED"
+        };
         println!(
             "  {:<12} rate {:>6} ppm: {:>6} entries hit, mismatch {:>7} ppm, {status}",
             r.format, r.rate_ppm, r.corrupted_entries, r.mismatch_ppm

@@ -209,8 +209,8 @@ pub fn evaluate(
                 if got.is_nan() || want.is_nan() {
                     continue;
                 }
-                let rel = (f64::from(got) - f64::from(want)).abs()
-                    / f64::from(want).abs().max(1e-6);
+                let rel =
+                    (f64::from(got) - f64::from(want)).abs() / f64::from(want).abs().max(1e-6);
                 err_sum += rel.min(10.0);
                 err_lanes += 1;
             }
@@ -251,15 +251,17 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(logits_a, logits_b);
         assert_eq!(a.nan_ppm, 0, "no faults, no poisoning");
-        assert!(a.acc_mpct >= 50_000, "posit16 keeps the model useful: {a:?}");
+        assert!(
+            a.acc_mpct >= 50_000,
+            "posit16 keeps the model useful: {a:?}"
+        );
     }
 
     #[test]
     fn weight_faults_at_full_rate_destroy_accuracy_information() {
         let w = &workloads(true)[0];
         let clean = quantize_weights(&w.net, FormatKind::Posit8, None);
-        let (base, base_logits) =
-            evaluate(&clean, FormatKind::Posit8, &w.samples, None, None);
+        let (base, base_logits) = evaluate(&clean, FormatKind::Posit8, &w.samples, None, None);
         let mut inj = Injector::new(1, 0);
         let noisy = quantize_weights(&w.net, FormatKind::Posit8, Some((&mut inj, 250_000)));
         assert!(inj.flips() > 0, "25 % per-bit rate must flip something");

@@ -82,7 +82,11 @@ enum RowResult {
 /// Runs the sweep described by `opts`.
 #[must_use]
 pub fn run(opts: &Options) -> Report {
-    let rates: &[u32] = if opts.quick { &QUICK_RATES } else { &FULL_RATES };
+    let rates: &[u32] = if opts.quick {
+        &QUICK_RATES
+    } else {
+        &FULL_RATES
+    };
     let operand_cases: u64 = if opts.quick { 2_000 } else { 20_000 };
 
     if opts.progress {
@@ -150,8 +154,10 @@ pub fn run(opts: &Options) -> Report {
         }
     } else {
         std::thread::scope(|s| {
-            for (ci, (tchunk, rchunk)) in
-                tasks.chunks(chunk).zip(results.chunks_mut(chunk)).enumerate()
+            for (ci, (tchunk, rchunk)) in tasks
+                .chunks(chunk)
+                .zip(results.chunks_mut(chunk))
+                .enumerate()
             {
                 let workloads = &workloads;
                 let baselines = &baselines;
@@ -214,14 +220,16 @@ fn run_task(
                     let noisy = quantize_weights(&w.net, fmt, Some((&mut inj, rate_ppm)));
                     evaluate(&noisy, fmt, &w.samples, Some(&base.logits), None).0
                 }
-                Target::Activations => evaluate(
-                    &base.net,
-                    fmt,
-                    &w.samples,
-                    Some(&base.logits),
-                    Some((&mut inj, rate_ppm)),
-                )
-                .0,
+                Target::Activations => {
+                    evaluate(
+                        &base.net,
+                        fmt,
+                        &w.samples,
+                        Some(&base.logits),
+                        Some((&mut inj, rate_ppm)),
+                    )
+                    .0
+                }
             };
             RowResult::Model(ModelRow {
                 workload: w.name.to_string(),
@@ -270,8 +278,7 @@ fn run_task(
                 rate_ppm,
                 cases,
                 flips: inj.flips(),
-                special_ppm: (specials as f64 / cases.max(1) as f64 * 1_000_000.0).round()
-                    as u64,
+                special_ppm: (specials as f64 / cases.max(1) as f64 * 1_000_000.0).round() as u64,
                 mre_ppm: if err_cases == 0 {
                     0
                 } else {
@@ -302,16 +309,14 @@ fn run_task(
             // either accept intact tables or fall back to the scalar
             // tier, restoring bit-identical output.
             let mut recovered_out = vec![0u8; m * n];
-            let path =
-                matmul8_verified(fmt, &mul, &add, &a, &b, &mut recovered_out, m, k, n);
-            let recovered = recovered_out == reference
-                && (path == LutIntegrity::FellBack) == (touched > 0);
+            let path = matmul8_verified(fmt, &mul, &add, &a, &b, &mut recovered_out, m, k, n);
+            let recovered =
+                recovered_out == reference && (path == LutIntegrity::FellBack) == (touched > 0);
             RowResult::Lut(LutRow {
                 format: fmt.id().to_string(),
                 rate_ppm,
                 corrupted_entries: touched,
-                mismatch_ppm: (mismatches as f64 / (m * n) as f64 * 1_000_000.0).round()
-                    as u64,
+                mismatch_ppm: (mismatches as f64 / (m * n) as f64 * 1_000_000.0).round() as u64,
                 recovered,
             })
         }

@@ -154,9 +154,9 @@ impl Config {
             }
             // Multi-line arrays: keep consuming until the bracket closes.
             while line.contains('=')
-                && line.split_once('=').is_some_and(|(_, v)| {
-                    v.trim_start().starts_with('[') && !array_closed(v)
-                })
+                && line
+                    .split_once('=')
+                    .is_some_and(|(_, v)| v.trim_start().starts_with('[') && !array_closed(v))
             {
                 let Some(next) = lines.get(i) else { break };
                 line.push(' ');

@@ -437,11 +437,9 @@ mod tests {
 
     #[test]
     fn reads_all_len_and_sized_arrays() {
-        let lexed = lex(
-            "pub const ALL: [Self; 4] = [];\n\
+        let lexed = lex("pub const ALL: [Self; 4] = [];\n\
              static M: [OnceLock<BinaryTable>; 4] = x;\n\
-             struct T { e: Box<[u8; 65536]> }\n",
-        );
+             struct T { e: Box<[u8; 65536]> }\n");
         assert_eq!(all_len(&lexed).map(|(_, n)| n), Some(4));
         let arrays = sized_arrays(&lexed, &["OnceLock"]);
         assert_eq!(arrays.len(), 1);

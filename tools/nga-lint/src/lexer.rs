@@ -122,7 +122,13 @@ pub fn lex(src: &str) -> Lexed {
         } else {
             let line = cur.line;
             cur.bump();
-            push_tok(&mut out, &mut cur, TokKind::Punct(b), (b as char).to_string(), line);
+            push_tok(
+                &mut out,
+                &mut cur,
+                TokKind::Punct(b),
+                (b as char).to_string(),
+                line,
+            );
         }
     }
     out.lines = cur.line;
@@ -333,7 +339,11 @@ fn number(cur: &mut Cursor, out: &mut Lexed, src: &str) {
         }
     }
     let text = src[start..cur.pos].to_string();
-    let kind = if is_float { TokKind::Float } else { TokKind::Int };
+    let kind = if is_float {
+        TokKind::Float
+    } else {
+        TokKind::Int
+    };
     push_tok(out, cur, kind, text, line);
 }
 
@@ -386,10 +396,7 @@ mod tests {
     fn strings_hide_their_contents() {
         let toks = kinds(r###"let s = "f64 unwrap()"; let r = r#"unsafe "quoted""#;"###);
         assert!(!toks.iter().any(|(_, t)| t == "f64" || t == "unsafe"));
-        assert_eq!(
-            toks.iter().filter(|(k, _)| *k == TokKind::Str).count(),
-            2
-        );
+        assert_eq!(toks.iter().filter(|(k, _)| *k == TokKind::Str).count(), 2);
     }
 
     #[test]
@@ -399,10 +406,7 @@ mod tests {
             toks.iter().filter(|(k, _)| *k == TokKind::Lifetime).count(),
             2
         );
-        assert_eq!(
-            toks.iter().filter(|(k, _)| *k == TokKind::Char).count(),
-            2
-        );
+        assert_eq!(toks.iter().filter(|(k, _)| *k == TokKind::Char).count(), 2);
     }
 
     #[test]

@@ -45,7 +45,10 @@ fn parse_args() -> Result<Args, String> {
                 args.json = Some(path);
             }
             "--explain" => {
-                args.explain = Some(it.next().ok_or_else(|| "--explain needs a rule".to_string())?);
+                args.explain = Some(
+                    it.next()
+                        .ok_or_else(|| "--explain needs a rule".to_string())?,
+                );
             }
             "--list-rules" => args.list_rules = true,
             "--quiet" | "-q" => args.quiet = true,

@@ -144,12 +144,7 @@ impl FileContext {
     }
 
     /// Validates rule ids in an annotation, reporting unknown ones.
-    fn check_rules(
-        &self,
-        rules: Vec<String>,
-        line: usize,
-        out: &mut Vec<Finding>,
-    ) -> Vec<String> {
+    fn check_rules(&self, rules: Vec<String>, line: usize, out: &mut Vec<Finding>) -> Vec<String> {
         let mut ok = Vec::new();
         for r in rules {
             if ALL_RULES.contains(&r.as_str()) {
@@ -374,9 +369,8 @@ pub fn scan_panic(ctx: &FileContext, check_indexing: bool, out: &mut Vec<Finding
             continue;
         }
         let name = t.text.as_str();
-        let method_call = i > 0
-            && is_punct(toks.get(i - 1), b'.')
-            && is_punct(toks.get(i + 1), b'(');
+        let method_call =
+            i > 0 && is_punct(toks.get(i - 1), b'.') && is_punct(toks.get(i + 1), b'(');
         if method_call && (name == "unwrap" || name == "expect") {
             emit(
                 ctx,
@@ -538,7 +532,10 @@ pub fn scan_env_time(ctx: &FileContext, out: &mut Vec<Finding>) {
                 NO_ENV_TIME,
                 t.line,
                 true,
-                format!("`{}` (wall-clock) outside kernel-selection/bench code", t.text),
+                format!(
+                    "`{}` (wall-clock) outside kernel-selection/bench code",
+                    t.text
+                ),
             );
         }
     }

@@ -69,7 +69,12 @@ pub fn neg_q44(a: u8) -> u8 {
 /// range. Returns `None` when the exact widening shift would leave the
 /// 96-bit raw domain (callers avoid that region).
 #[must_use]
-pub fn convert_sat(raw: i128, from: FixedFormat, to: FixedFormat, mode: RoundingMode) -> Option<i128> {
+pub fn convert_sat(
+    raw: i128,
+    from: FixedFormat,
+    to: FixedFormat,
+    mode: RoundingMode,
+) -> Option<i128> {
     let ff = from.frac_bits();
     let tf = to.frac_bits();
     let scaled = if tf >= ff {

@@ -106,9 +106,7 @@ impl FloatSpec {
     #[must_use]
     pub fn daz(&self, v: FloatVal, ftz: bool) -> FloatVal {
         match v {
-            FloatVal::Fin(e)
-                if ftz && e.cmp_mag(1, self.emin()) == std::cmp::Ordering::Less =>
-            {
+            FloatVal::Fin(e) if ftz && e.cmp_mag(1, self.emin()) == std::cmp::Ordering::Less => {
                 FloatVal::Zero(e.sign)
             }
             other => other,
@@ -473,7 +471,10 @@ mod tests {
         assert_eq!(s.decode(0x7C00), FloatVal::Inf(false));
         assert_eq!(s.decode(0x7C01), FloatVal::Nan);
         // 1.0 = 0x3C00: sig 0x400, exp -10.
-        assert_eq!(s.decode(0x3C00), FloatVal::Fin(Exact::new(false, 0x400, -10)));
+        assert_eq!(
+            s.decode(0x3C00),
+            FloatVal::Fin(Exact::new(false, 0x400, -10))
+        );
         // Smallest subnormal: 2^-24.
         assert_eq!(s.decode(0x0001), FloatVal::Fin(Exact::new(false, 1, -24)));
     }
@@ -510,13 +511,19 @@ mod tests {
             s.round(&v, Rounding::TowardNegative, false),
             s.max_finite_bits(false)
         );
-        assert_eq!(s.round(&v, Rounding::TowardPositive, false), s.inf_bits(false));
+        assert_eq!(
+            s.round(&v, Rounding::TowardPositive, false),
+            s.inf_bits(false)
+        );
         let n = Exact::new(true, 65520, 0);
         assert_eq!(
             s.round(&n, Rounding::TowardPositive, false),
             s.max_finite_bits(true)
         );
-        assert_eq!(s.round(&n, Rounding::TowardNegative, false), s.inf_bits(true));
+        assert_eq!(
+            s.round(&n, Rounding::TowardNegative, false),
+            s.inf_bits(true)
+        );
     }
 
     #[test]
@@ -529,7 +536,11 @@ mod tests {
         let mid = largest_sub
             .add(&Exact::new(false, 1, -25))
             .expect("nonzero");
-        assert_eq!(s.round(&mid, Rounding::NearestEven, false), 0x0400, "tie to even");
+        assert_eq!(
+            s.round(&mid, Rounding::NearestEven, false),
+            0x0400,
+            "tie to even"
+        );
         assert_eq!(s.round(&mid, Rounding::NearestAway, false), 0x0400);
         assert_eq!(s.round(&mid, Rounding::TowardZero, false), 0x03FF);
         assert_eq!(s.round(&mid, Rounding::TowardPositive, false), 0x0400);
@@ -548,7 +559,11 @@ mod tests {
         assert_eq!(s.round(&v, Rounding::NearestEven, false), 0x0000);
         assert_eq!(s.round(&v, Rounding::TowardPositive, false), 0x0001);
         let n = Exact::new(true, 1, -300);
-        assert_eq!(s.round(&n, Rounding::NearestEven, false), 0x8000, "keeps sign");
+        assert_eq!(
+            s.round(&n, Rounding::NearestEven, false),
+            0x8000,
+            "keeps sign"
+        );
         assert_eq!(s.round(&n, Rounding::TowardNegative, false), 0x8001);
         // Exactly half the smallest subnormal: 2^-25 ties to even (0).
         let half = Exact::new(false, 1, -25);

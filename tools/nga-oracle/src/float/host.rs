@@ -20,8 +20,8 @@ use std::cmp::Ordering;
 pub fn biased_f64_bits(x: u64, y: u64) -> u64 {
     let sign = x & (1u64 << 63);
     match (x >> 56) & 15 {
-        0 => sign,                      // ±0
-        1 => sign | (0x7FFu64 << 52),   // ±∞
+        0 => sign,                    // ±0
+        1 => sign | (0x7FFu64 << 52), // ±∞
         strat => {
             // Unbiased exponent in [-40, 39]: covers binary16's
             // subnormals, normals, and the overflow fringe.
@@ -154,7 +154,11 @@ fn cmp_vals(a: &FloatVal, b: &FloatVal) -> Option<Ordering> {
     };
     if sa != sb {
         // Differing signs and not both zero: negative < positive.
-        return Some(if sa { Ordering::Less } else { Ordering::Greater });
+        return Some(if sa {
+            Ordering::Less
+        } else {
+            Ordering::Greater
+        });
     }
     Some(ord)
 }

@@ -62,7 +62,10 @@ fn print_summary(report: &Report) {
     println!("nga-oracle sweep ({} mode)", report.mode);
     for t in &report.tasks {
         let status = if t.mismatches == 0 { "ok " } else { "FAIL" };
-        println!("  {status} {:<44} {:>12} cases, {} mismatches", t.name, t.cases, t.mismatches);
+        println!(
+            "  {status} {:<44} {:>12} cases, {} mismatches",
+            t.name, t.cases, t.mismatches
+        );
         for e in &t.examples {
             let ins: Vec<String> = e.minimized.iter().map(|x| format!("{x:#x}")).collect();
             println!(

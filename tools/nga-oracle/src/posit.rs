@@ -90,7 +90,7 @@ impl PositSpec {
         }
         let regime = if first == 1 { run - 1 } else { -run };
         i -= 1; // skip the regime terminator (if any bits remain)
-        // Exponent: the next es bits, zero-padded if truncated.
+                // Exponent: the next es bits, zero-padded if truncated.
         let mut e = 0i32;
         let mut taken = 0;
         while taken < self.es && i >= 0 {
@@ -176,11 +176,7 @@ impl PositOracle {
             1
         } else {
             let above = below + 1; // 1-based code with value ≥ |v|
-            let above_val = self
-                .vals
-                .get(above as usize - 1)
-                .copied()
-                .unwrap_or((1, 0));
+            let above_val = self.vals.get(above as usize - 1).copied().unwrap_or((1, 0));
             if v.cmp_mag(above_val.0, above_val.1) == std::cmp::Ordering::Equal {
                 above
             } else {

@@ -121,10 +121,10 @@ fn biased_posit_code(r: &mut XorShift, n: u32) -> u64 {
     let code = x & mask;
     let nar = 1u64 << (n - 1);
     match (x >> 48) & 7 {
-        0 => code & 0x1F,                        // tiny positive (long 0-regime)
-        1 => (nar - 1) - (code & 0x1F),          // near maxpos
+        0 => code & 0x1F,                         // tiny positive (long 0-regime)
+        1 => (nar - 1) - (code & 0x1F),           // near maxpos
         2 => (code & 0x1F).wrapping_neg() & mask, // tiny negative
-        3 => (nar + 1 + (code & 0x1F)) & mask,   // near negative maxpos / NaR edge
+        3 => (nar + 1 + (code & 0x1F)) & mask,    // near negative maxpos / NaR edge
         _ => code,
     }
 }
@@ -209,7 +209,8 @@ fn sweep_pairs(
                             }
                         }
                         if let Some(name) = progress {
-                            let d = done.fetch_add(end - start, AtomicOrdering::Relaxed) + (end - start);
+                            let d = done.fetch_add(end - start, AtomicOrdering::Relaxed)
+                                + (end - start);
                             if d.is_multiple_of(4096) || d == total {
                                 eprintln!("    {name}: {d}/{total} rows");
                             }
@@ -236,11 +237,7 @@ fn sweep_unary(limit: u64, eval: &dyn Fn(u64) -> (u64, u64)) -> Outcome {
     o
 }
 
-fn sweep_triples(
-    limit: u64,
-    stride_c: u64,
-    eval: &dyn Fn(u64, u64, u64) -> (u64, u64),
-) -> Outcome {
+fn sweep_triples(limit: u64, stride_c: u64, eval: &dyn Fn(u64, u64, u64) -> (u64, u64)) -> Outcome {
     let mut o = Outcome::default();
     for a in 0..limit {
         for b in 0..limit {
@@ -578,7 +575,10 @@ pub fn run(opts: &Options) -> Report {
     );
 
     // ----- 8-bit exhaustive: FP8 under all five rounding modes ------
-    for (fname, base) in [("e4m3", FloatFormat::FP8_E4M3), ("e5m2", FloatFormat::FP8_E5M2)] {
+    for (fname, base) in [
+        ("e4m3", FloatFormat::FP8_E4M3),
+        ("e5m2", FloatFormat::FP8_E5M2),
+    ] {
         for (mode, mname) in MODES {
             let fmt = base.with_rounding(mode);
             for (op, opname) in [
@@ -588,7 +588,12 @@ pub fn run(opts: &Options) -> Report {
                 (BinOp::Div, "div"),
             ] {
                 let eval = sf_bin(op, fmt);
-                r.push_pairs(&format!("exh8/{fname}/{opname}/scalar@{mname}"), 256, 1, &eval);
+                r.push_pairs(
+                    &format!("exh8/{fname}/{opname}/scalar@{mname}"),
+                    256,
+                    1,
+                    &eval,
+                );
             }
             r.push_unary(&format!("exh8/{fname}/sqrt/scalar@{mname}"), 256, &|a| {
                 (
@@ -612,9 +617,18 @@ pub fn run(opts: &Options) -> Report {
         }
         // Flush-to-zero variants (RNE).
         let fmt = base.with_subnormal_mode(SubnormalMode::FlushToZero);
-        for (op, opname) in [(BinOp::Add, "add"), (BinOp::Mul, "mul"), (BinOp::Div, "div")] {
+        for (op, opname) in [
+            (BinOp::Add, "add"),
+            (BinOp::Mul, "mul"),
+            (BinOp::Div, "div"),
+        ] {
             let eval = sf_bin(op, fmt);
-            r.push_pairs(&format!("exh8/{fname}/{opname}/scalar@rne+ftz"), 256, 1, &eval);
+            r.push_pairs(
+                &format!("exh8/{fname}/{opname}/scalar@rne+ftz"),
+                256,
+                1,
+                &eval,
+            );
         }
         r.push_unary(&format!("exh8/{fname}/sqrt/scalar@rne+ftz"), 256, &|a| {
             (
@@ -685,13 +699,9 @@ pub fn run(opts: &Options) -> Report {
                 let got = fixed_q44(a)
                     .convert(tfmt, mode, OverflowMode::Saturate)
                     .map_or(0xDEAD_u64, |f| f.raw() as u64 & 0xFFFF);
-                let want = fixedpt::convert_sat(
-                    i128::from(a as u8 as i8),
-                    FixedFormat::Q4_4,
-                    tfmt,
-                    mode,
-                )
-                .map_or(0xBEEF_u64, |v| v as u64 & 0xFFFF);
+                let want =
+                    fixedpt::convert_sat(i128::from(a as u8 as i8), FixedFormat::Q4_4, tfmt, mode)
+                        .map_or(0xBEEF_u64, |v| v as u64 & 0xFFFF);
                 (got, want)
             });
         }
@@ -735,7 +745,11 @@ pub fn run(opts: &Options) -> Report {
                 let (i, j) = ((idx >> 8) as u8, (idx & 255) as u8);
                 let m = format8_oracle_mul(fmt, i, j, &p8);
                 let want = format8_oracle_add(fmt, 0, m, &p8);
-                o.record(&[u64::from(i), u64::from(j)], u64::from(got), u64::from(want));
+                o.record(
+                    &[u64::from(i), u64::from(j)],
+                    u64::from(got),
+                    u64::from(want),
+                );
             }
             let eval = |ins: &[u64]| {
                 let (i, j) = (
@@ -747,7 +761,10 @@ pub fn run(opts: &Options) -> Report {
                 let _ = ctx.matmul8(fmt, &[i], &[j], &mut cell, 1, 1, 1);
                 let m = format8_oracle_mul(fmt, i, j, &p8);
                 let want = format8_oracle_add(fmt, 0, m, &p8);
-                (u64::from(cell.first().copied().unwrap_or(0)), u64::from(want))
+                (
+                    u64::from(cell.first().copied().unwrap_or(0)),
+                    u64::from(want),
+                )
             };
             r.tasks.push(finalize(&name, o, &eval));
         }
@@ -817,7 +834,12 @@ pub fn run(opts: &Options) -> Report {
 
     // ----- 16-bit sampled, boundary-biased --------------------------
     let f16_spec = FloatSpec::of(f16);
-    let gen_f16_pair = |r: &mut XorShift| vec![biased_float_code(r, f16_spec), biased_float_code(r, f16_spec)];
+    let gen_f16_pair = |r: &mut XorShift| {
+        vec![
+            biased_float_code(r, f16_spec),
+            biased_float_code(r, f16_spec),
+        ]
+    };
     let gen_f16_triple = |r: &mut XorShift| {
         vec![
             biased_float_code(r, f16_spec),
@@ -888,7 +910,11 @@ pub fn run(opts: &Options) -> Report {
     // FTZ sampled (RNE).
     {
         let fmt = f16.with_subnormal_mode(SubnormalMode::FlushToZero);
-        for (op, opname) in [(BinOp::Add, "add"), (BinOp::Mul, "mul"), (BinOp::Div, "div")] {
+        for (op, opname) in [
+            (BinOp::Add, "add"),
+            (BinOp::Mul, "mul"),
+            (BinOp::Div, "div"),
+        ] {
             let eval = sf_bin(op, fmt);
             let se = |ins: &[u64]| {
                 eval(
@@ -908,7 +934,12 @@ pub fn run(opts: &Options) -> Report {
     }
     // Wider presets: bfloat16 and FP19 under RNE plus one directed mode.
     for (fname, base, dmode, dname) in [
-        ("bfloat16", FloatFormat::BFLOAT16, Rounding::TowardPositive, "rtp"),
+        (
+            "bfloat16",
+            FloatFormat::BFLOAT16,
+            Rounding::TowardPositive,
+            "rtp",
+        ),
         ("fp19", FloatFormat::FP19, Rounding::TowardNegative, "rtn"),
     ] {
         let spec = FloatSpec::of(base);
@@ -1000,7 +1031,13 @@ pub fn run(opts: &Options) -> Report {
             )
         };
         seed += 1;
-        r.push_sampled("sample16/posit16/fma", sample_n(2_000_000), seed, &gen3, &fe);
+        r.push_sampled(
+            "sample16/posit16/fma",
+            sample_n(2_000_000),
+            seed,
+            &gen3,
+            &fe,
+        );
         for (op, opname) in [
             (BinOp::Add, "add"),
             (BinOp::Mul, "mul"),
@@ -1035,10 +1072,7 @@ pub fn run(opts: &Options) -> Report {
         let eval = |ins: &[u64]| {
             let a = ins.first().copied().unwrap_or(0);
             let b = ins.get(1).copied().unwrap_or(0);
-            (
-                u64::from(host::interval_case_bits(a, b, op, f16)),
-                1u64,
-            )
+            (u64::from(host::interval_case_bits(a, b, op, f16)), 1u64)
         };
         seed += 1;
         r.push_sampled(&name, sample_n(200_000), seed, &gen, &eval);
@@ -1079,7 +1113,10 @@ mod tests {
         };
         let mut r1 = case_rng(2, 3);
         let mut r2 = case_rng(2, 3);
-        assert_eq!(biased_float_code(&mut r1, f16), biased_float_code(&mut r2, f16));
+        assert_eq!(
+            biased_float_code(&mut r1, f16),
+            biased_float_code(&mut r2, f16)
+        );
         let c = biased_posit_code(&mut r1, 16);
         assert!(c <= 0xFFFF);
     }
