@@ -9,7 +9,8 @@
 //! detected by a single "sign bit set and all others clear" test (§V: an OR
 //! tree of no more than six logic levels for 64-bit posits).
 
-use crate::events::PositEvents;
+use nga_obs::Event8;
+
 use crate::posit::Posit;
 
 // `add`/`sub`/`mul`/`div` match the softfloat-style naming used across the
@@ -27,29 +28,29 @@ impl Posit {
         self.add_with_events(rhs).0
     }
 
-    /// Addition plus the [`PositEvents`] it raised. Propagating an input
+    /// Addition plus the [`Event8`] it raised. Propagating an input
     /// NaR raises no event; only *producing* NaR from real inputs does.
     ///
     /// # Panics
     ///
     /// Panics if the operand formats differ.
     #[must_use]
-    pub fn add_with_events(self, rhs: Self) -> (Self, PositEvents) {
+    pub fn add_with_events(self, rhs: Self) -> (Self, Event8) {
         assert_eq!(self.format(), rhs.format(), "mixed-format posit add");
         let fmt = self.format();
         if self.is_nar() || rhs.is_nar() {
-            return (Self::nar(fmt), PositEvents::NONE);
+            return (Self::nar(fmt), Event8::NONE);
         }
         if self.is_zero() {
-            return (rhs, PositEvents::NONE);
+            return (rhs, Event8::NONE);
         }
         if rhs.is_zero() {
-            return (self, PositEvents::NONE);
+            return (self, Event8::NONE);
         }
         let (Some(a), Some(b)) = (self.unpack(), rhs.unpack()) else {
             // NaR/zero were handled above; unreachable, but NaR is the
             // only sound answer if decode ever fails.
-            return (Self::nar(fmt), PositEvents::NAR);
+            return (Self::nar(fmt), Event8::NAR_NAN);
         };
         // Exact alignment: posit32 significands are <= 28 bits and scales
         // span +-120, so the aligned sum always fits i128 (28 + 241 < ...
@@ -71,7 +72,7 @@ impl Posit {
             };
             let sum = x + y;
             if sum == 0 {
-                return (Self::zero(fmt), PositEvents::NONE);
+                return (Self::zero(fmt), Event8::NONE);
             }
             sum_sign = sum < 0;
             sum_sig = sum.unsigned_abs();
@@ -100,13 +101,13 @@ impl Posit {
         self.add(rhs.neg())
     }
 
-    /// Subtraction plus the [`PositEvents`] it raised.
+    /// Subtraction plus the [`Event8`] it raised.
     ///
     /// # Panics
     ///
     /// Panics if the operand formats differ.
     #[must_use]
-    pub fn sub_with_events(self, rhs: Self) -> (Self, PositEvents) {
+    pub fn sub_with_events(self, rhs: Self) -> (Self, Event8) {
         self.add_with_events(rhs.neg())
     }
 
@@ -120,23 +121,23 @@ impl Posit {
         self.mul_with_events(rhs).0
     }
 
-    /// Multiplication plus the [`PositEvents`] it raised.
+    /// Multiplication plus the [`Event8`] it raised.
     ///
     /// # Panics
     ///
     /// Panics if the operand formats differ.
     #[must_use]
-    pub fn mul_with_events(self, rhs: Self) -> (Self, PositEvents) {
+    pub fn mul_with_events(self, rhs: Self) -> (Self, Event8) {
         assert_eq!(self.format(), rhs.format(), "mixed-format posit mul");
         let fmt = self.format();
         if self.is_nar() || rhs.is_nar() {
-            return (Self::nar(fmt), PositEvents::NONE);
+            return (Self::nar(fmt), Event8::NONE);
         }
         if self.is_zero() || rhs.is_zero() {
-            return (Self::zero(fmt), PositEvents::NONE);
+            return (Self::zero(fmt), Event8::NONE);
         }
         let (Some(a), Some(b)) = (self.unpack(), rhs.unpack()) else {
-            return (Self::nar(fmt), PositEvents::NAR);
+            return (Self::nar(fmt), Event8::NAR_NAN);
         };
         let prod = a.sig as u128 * b.sig as u128;
         Self::from_parts_with_events(a.sign ^ b.sign, prod, a.exp + b.exp, fmt)
@@ -153,28 +154,37 @@ impl Posit {
         self.div_with_events(rhs).0
     }
 
-    /// Division plus the [`PositEvents`] it raised. `x / 0` (for real
-    /// nonzero `x`) produces NaR and raises `NAR`; propagating an input
+    /// Division plus the [`Event8`] it raised. `x / 0` (for real
+    /// nonzero `x`) produces NaR and raises `NAR_NAN`; propagating an input
     /// NaR raises nothing.
+    ///
+    /// ```
+    /// use nga_core::{Posit, PositFormat};
+    /// use nga_obs::Event8;
+    /// let p8 = PositFormat::POSIT8;
+    /// let (r, ev) = Posit::one(p8).div_with_events(Posit::zero(p8));
+    /// assert!(r.is_nar());
+    /// assert!(ev.contains(Event8::NAR_NAN));
+    /// ```
     ///
     /// # Panics
     ///
     /// Panics if the operand formats differ.
     #[must_use]
-    pub fn div_with_events(self, rhs: Self) -> (Self, PositEvents) {
+    pub fn div_with_events(self, rhs: Self) -> (Self, Event8) {
         assert_eq!(self.format(), rhs.format(), "mixed-format posit div");
         let fmt = self.format();
         if self.is_nar() || rhs.is_nar() {
-            return (Self::nar(fmt), PositEvents::NONE);
+            return (Self::nar(fmt), Event8::NONE);
         }
         if rhs.is_zero() {
-            return (Self::nar(fmt), PositEvents::NAR);
+            return (Self::nar(fmt), Event8::NAR_NAN);
         }
         if self.is_zero() {
-            return (Self::zero(fmt), PositEvents::NONE);
+            return (Self::zero(fmt), Event8::NONE);
         }
         let (Some(a), Some(b)) = (self.unpack(), rhs.unpack()) else {
-            return (Self::nar(fmt), PositEvents::NAR);
+            return (Self::nar(fmt), Event8::NAR_NAN);
         };
         // Quotient with n + 4 extra bits; remainder folds into sticky.
         let extra = fmt.n() + 4;
@@ -195,23 +205,23 @@ impl Posit {
         self.sqrt_with_events().0
     }
 
-    /// Square root plus the [`PositEvents`] it raised. A negative input
-    /// produces NaR and raises `NAR`; propagating an input NaR raises
+    /// Square root plus the [`Event8`] it raised. A negative input
+    /// produces NaR and raises `NAR_NAN`; propagating an input NaR raises
     /// nothing.
     #[must_use]
-    pub fn sqrt_with_events(self) -> (Self, PositEvents) {
+    pub fn sqrt_with_events(self) -> (Self, Event8) {
         let fmt = self.format();
         if self.is_nar() {
-            return (Self::nar(fmt), PositEvents::NONE);
+            return (Self::nar(fmt), Event8::NONE);
         }
         if self.sign() && !self.is_zero() {
-            return (Self::nar(fmt), PositEvents::NAR);
+            return (Self::nar(fmt), Event8::NAR_NAN);
         }
         if self.is_zero() {
-            return (self, PositEvents::NONE);
+            return (self, Event8::NONE);
         }
         let Some(u) = self.unpack() else {
-            return (Self::nar(fmt), PositEvents::NAR);
+            return (Self::nar(fmt), Event8::NAR_NAN);
         };
         let mut sig = u.sig as u128;
         let mut exp = u.exp;
@@ -240,24 +250,24 @@ impl Posit {
         self.fma_with_events(b, c).0
     }
 
-    /// Fused multiply-add plus the [`PositEvents`] it raised.
+    /// Fused multiply-add plus the [`Event8`] it raised.
     ///
     /// # Panics
     ///
     /// Panics if the operand formats differ.
     #[must_use]
-    pub fn fma_with_events(self, b: Self, c: Self) -> (Self, PositEvents) {
+    pub fn fma_with_events(self, b: Self, c: Self) -> (Self, Event8) {
         assert_eq!(self.format(), b.format(), "mixed-format posit fma");
         assert_eq!(self.format(), c.format(), "mixed-format posit fma");
         let fmt = self.format();
         if self.is_nar() || b.is_nar() || c.is_nar() {
-            return (Self::nar(fmt), PositEvents::NONE);
+            return (Self::nar(fmt), Event8::NONE);
         }
         if self.is_zero() || b.is_zero() {
-            return (c, PositEvents::NONE);
+            return (c, Event8::NONE);
         }
         let (Some(ua), Some(ub)) = (self.unpack(), b.unpack()) else {
-            return (Self::nar(fmt), PositEvents::NAR);
+            return (Self::nar(fmt), Event8::NAR_NAN);
         };
         let prod = ua.sig as u128 * ub.sig as u128;
         let psign = ua.sign ^ ub.sign;
@@ -266,7 +276,7 @@ impl Posit {
             return Self::from_parts_with_events(psign, prod, pexp, fmt);
         }
         let Some(uc) = c.unpack() else {
-            return (Self::nar(fmt), PositEvents::NAR);
+            return (Self::nar(fmt), Event8::NAR_NAN);
         };
         let (hi_sig, hi_exp, hi_sign, lo_sig, lo_exp, lo_sign) = if pexp >= uc.exp {
             (prod, pexp, psign, uc.sig as u128, uc.exp, uc.sign)
@@ -286,7 +296,7 @@ impl Posit {
             };
             let sum = x + y;
             if sum == 0 {
-                return (Self::zero(fmt), PositEvents::NONE);
+                return (Self::zero(fmt), Event8::NONE);
             }
             sum_sign = sum < 0;
             sum_sig = sum.unsigned_abs();

@@ -15,7 +15,9 @@
 //!   §V calls out in published comparisons),
 //! - correctly rounded add/sub/mul/div/sqrt with posit rounding (round to
 //!   nearest, ties to even encoding; saturate at `maxpos`/`minpos`; the
-//!   only exception value is NaR),
+//!   only exception value is NaR), each with a `*_with_events` variant
+//!   reporting [`nga_obs::Event8`] bits: `NAR_NAN` (NaR produced),
+//!   `INEXACT` and `SATURATED`,
 //! - the [`Quire`] exact dot-product accumulator,
 //! - integer-identical comparison ([`Posit::cmp`] *is* two's-complement
 //!   integer comparison — no separate comparison unit needed, §V),
@@ -41,13 +43,11 @@
 
 mod analysis;
 mod arith;
-mod events;
 mod format;
 mod posit;
 mod quire;
 
 pub use analysis::{decimal_accuracy, decode_difficulty, DecodeDifficulty, PositRingCensus};
-pub use events::PositEvents;
 pub use format::PositFormat;
 pub use posit::{ParsePositError, Posit, PositClass, Unpacked};
 pub use quire::Quire;

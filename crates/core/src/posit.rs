@@ -1,6 +1,8 @@
 use std::cmp::Ordering;
 use std::fmt;
 
+use nga_obs::Event8;
+
 use crate::format::PositFormat;
 
 /// Posit value classification. There are exactly two exception encodings
@@ -259,8 +261,8 @@ impl Posit {
         Self::from_parts_with_events(sign, sig, exp, format).0
     }
 
-    /// [`Self::from_parts`] plus the [`PositEvents`](crate::PositEvents)
-    /// the rounder raised: `INEXACT` when nonzero bits were discarded, and
+    /// [`Self::from_parts`] plus the [`Event8`] the rounder raised:
+    /// `INEXACT` when nonzero bits were discarded, and
     /// `SATURATED` when the result railed at `maxpos`/`minpos` (either from
     /// an out-of-range scale or from the round-up clamp). This is the single
     /// rounding site, so every arithmetic op inherits its event semantics.
@@ -271,10 +273,9 @@ impl Posit {
         sig: u128,
         exp: i32,
         format: PositFormat,
-    ) -> (Self, crate::PositEvents) {
-        use crate::PositEvents;
+    ) -> (Self, Event8) {
         if sig == 0 {
-            return (Self::zero(format), PositEvents::NONE);
+            return (Self::zero(format), Event8::NONE);
         }
         let fmt = format;
         let n = fmt.n();
@@ -292,7 +293,7 @@ impl Posit {
         };
         let frac_len = (127 - sig.leading_zeros()) as i32; // sig has frac_len+1 bits
         let scale = exp + frac_len;
-        let sat = PositEvents::SATURATED | PositEvents::INEXACT;
+        let sat = Event8::SATURATED | Event8::INEXACT;
         // Saturate out-of-range scales.
         if scale > fmt.max_scale() {
             let m = Self::maxpos(fmt);
@@ -319,7 +320,7 @@ impl Posit {
         debug_assert!(body_len <= 127, "body fits u128");
         let body = (regime << (es + frac_len as u32)) | (e << frac_len) | frac;
         // Round the body to n-1 bits, ties to even encoding.
-        let mut events = PositEvents::NONE;
+        let mut events = Event8::NONE;
         let target = n - 1;
         let rounded: u128 = if body_len <= target {
             body << (target - body_len)
@@ -330,7 +331,7 @@ impl Posit {
             let q = body >> drop;
             let half = 1u128 << (drop - 1);
             if rem != 0 {
-                events |= PositEvents::INEXACT;
+                events |= Event8::INEXACT;
             }
             if rem > half || (rem == half && q & 1 == 1) {
                 q + 1

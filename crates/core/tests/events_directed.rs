@@ -3,7 +3,8 @@
 //! zero, no overflow-to-infinity), and monotonicity of sticky event
 //! counts over an exhaustive sweep.
 
-use nga_core::{Posit, PositEvents, PositFormat};
+use nga_core::{Posit, PositFormat};
+use nga_obs::Event8;
 
 const P8: PositFormat = PositFormat::POSIT8;
 
@@ -15,7 +16,7 @@ fn p(x: f64) -> Posit {
 fn division_by_zero_produces_nar_with_the_nar_event() {
     let (q, events) = p(1.0).div_with_events(Posit::zero(P8));
     assert!(q.is_nar());
-    assert!(events.contains(PositEvents::NAR));
+    assert!(events.contains(Event8::NAR_NAN));
 }
 
 #[test]
@@ -32,7 +33,7 @@ fn nar_propagation_is_absorbing_but_raises_no_new_event() {
     ] {
         assert!(r.is_nar(), "NaR is absorbing");
         assert!(
-            !events.contains(PositEvents::NAR),
+            !events.contains(Event8::NAR_NAN),
             "propagation is not production"
         );
     }
@@ -45,8 +46,8 @@ fn saturation_does_not_produce_nar() {
     let maxpos = Posit::from_bits(0x7F, P8);
     let (r, events) = maxpos.mul_with_events(maxpos);
     assert!(!r.is_nar());
-    assert!(events.contains(PositEvents::SATURATED));
-    assert!(!events.contains(PositEvents::NAR));
+    assert!(events.contains(Event8::SATURATED));
+    assert!(!events.contains(Event8::NAR_NAN));
 }
 
 #[test]
@@ -55,7 +56,7 @@ fn nar_counter_grows_monotonically_over_an_exhaustive_sweep() {
     // event. Each count must be non-decreasing after every op (sticky
     // semantics: nothing ever clears).
     let (mut ops, mut nar, mut inexact) = (0u64, 0u64, 0u64);
-    let mut union = PositEvents::NONE;
+    let mut union = Event8::NONE;
     for a in 0..=255u8 {
         for b in 0..=255u8 {
             let x = Posit::from_bits(u64::from(a), P8);
@@ -63,8 +64,8 @@ fn nar_counter_grows_monotonically_over_an_exhaustive_sweep() {
             let (last_ops, last_nar, last_inexact) = (ops, nar, inexact);
             for (_, ev) in [x.mul_with_events(y), x.div_with_events(y)] {
                 ops += 1;
-                nar += u64::from(ev.contains(PositEvents::NAR));
-                inexact += u64::from(ev.contains(PositEvents::INEXACT));
+                nar += u64::from(ev.contains(Event8::NAR_NAN));
+                inexact += u64::from(ev.contains(Event8::INEXACT));
                 union |= ev;
             }
             assert!(nar >= last_nar, "NaR counter went backwards");
@@ -78,6 +79,6 @@ fn nar_counter_grows_monotonically_over_an_exhaustive_sweep() {
     assert!(nar > 0);
     assert!(inexact > 0);
     // The sticky union reflects everything seen across the sweep.
-    assert!(union.contains(PositEvents::NAR));
-    assert!(union.contains(PositEvents::INEXACT));
+    assert!(union.contains(Event8::NAR_NAN));
+    assert!(union.contains(Event8::INEXACT));
 }

@@ -188,24 +188,9 @@ impl Dataset {
 
     /// Wraps externally produced labelled tensors into a dataset (for
     /// pipelines whose features come from a real front end rather than the
-    /// synthetic generators).
-    ///
-    /// # Panics
-    ///
-    /// Panics with the [`DataError`] message if the samples are rejected
-    /// by [`Self::try_from_samples`]. Use that method (or
-    /// [`Self::from_samples_or_else`]) to recover instead.
-    #[must_use]
-    pub fn from_samples(samples: Vec<(Tensor, usize)>, classes: usize) -> Self {
-        match Self::try_from_samples(samples, classes) {
-            Ok(d) => d,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Validating constructor for externally produced samples: rejects a
-    /// zero class count, out-of-range labels and non-finite sample values
-    /// with an error that says which sample is bad and why.
+    /// synthetic generators), rejecting a zero class count, out-of-range
+    /// labels and non-finite sample values with an error that says which
+    /// sample is bad and why.
     ///
     /// # Errors
     ///

@@ -15,8 +15,8 @@
 //!   stays in `nga-bench` and the tools. A trace records *what* was
 //!   computed, never *when*.
 //! * **One event alphabet.** [`Event8`] is the 7-bit status alphabet
-//!   every 8-bit format's events translate into (NaR/NaN, inexact, IEEE
-//!   overflow/underflow/div-by-zero, saturation, wrap), and
+//!   the posit, IEEE and fixed-point cores all report in (NaR/NaN,
+//!   inexact, IEEE overflow/underflow/div-by-zero, saturation, wrap), and
 //!   [`StatusCounters`] is its one counter: the kernels' status tiers
 //!   return it, and every scope's [`OpCounts::status`] is one.
 //!

@@ -5,14 +5,15 @@
 //! site. NaN propagation, signed zeros, infinities and the invalid cases
 //! follow IEEE 754-2008 §6 and §7.
 
-use crate::flags::Flags;
+use nga_obs::Event8;
+
 use crate::format::{FloatFormat, Rounding};
 use crate::round::{round_pack, shift_right_sticky};
 use crate::value::SoftFloat;
 use crate::FloatClass;
 
 /// A value together with the exception flags its computation raised.
-pub(crate) type WithFlags = (SoftFloat, Flags);
+pub(crate) type WithFlags = (SoftFloat, Event8);
 
 // `add`/`sub`/`mul`/`div` mirror the softfloat naming convention; the std
 // ops traits are unsuitable because operand formats must match at runtime
@@ -33,7 +34,7 @@ impl SoftFloat {
     ///
     /// Panics if the operand formats differ.
     #[must_use]
-    pub fn add_with_flags(self, rhs: Self) -> (Self, Flags) {
+    pub fn add_with_flags(self, rhs: Self) -> (Self, Event8) {
         assert_eq!(self.format(), rhs.format(), "mixed-format add");
         let fmt = self.format();
         let (a, b) = (self.apply_ftz(), rhs.apply_ftz());
@@ -44,12 +45,12 @@ impl SoftFloat {
         match (a.class(), b.class()) {
             (FloatClass::Infinite, FloatClass::Infinite) => {
                 if a.sign() != b.sign() {
-                    return (Self::quiet_nan(fmt), Flags::INVALID);
+                    return (Self::quiet_nan(fmt), Event8::NAR_NAN);
                 }
-                return (a, Flags::NONE);
+                return (a, Event8::NONE);
             }
-            (FloatClass::Infinite, _) => return (a, Flags::NONE),
-            (_, FloatClass::Infinite) => return (b, Flags::NONE),
+            (FloatClass::Infinite, _) => return (a, Event8::NONE),
+            (_, FloatClass::Infinite) => return (b, Event8::NONE),
             _ => {}
         }
         if a.is_zero() && b.is_zero() {
@@ -62,7 +63,7 @@ impl SoftFloat {
             };
             return (
                 Self::from_bits(u64::from(sign) << fmt.sign_shift(), fmt),
-                Flags::NONE,
+                Event8::NONE,
             );
         }
 
@@ -96,7 +97,7 @@ impl SoftFloat {
         if sum == 0 {
             // IEEE 754 §6.3: exact cancellation x + (-x) is +0 in every
             // attribute except roundTowardNegative, where it is -0.
-            return (Self::cancellation_zero(fmt), Flags::NONE);
+            return (Self::cancellation_zero(fmt), Event8::NONE);
         }
         let sign = sum < 0;
         let out = round_pack(sign, sum.unsigned_abs(), exp, fmt);
@@ -109,7 +110,7 @@ impl SoftFloat {
     ///
     /// Panics if the operand formats differ.
     #[must_use]
-    pub fn sub_with_flags(self, rhs: Self) -> (Self, Flags) {
+    pub fn sub_with_flags(self, rhs: Self) -> (Self, Event8) {
         self.add_with_flags(rhs.neg())
     }
 
@@ -119,7 +120,7 @@ impl SoftFloat {
     ///
     /// Panics if the operand formats differ.
     #[must_use]
-    pub fn mul_with_flags(self, rhs: Self) -> (Self, Flags) {
+    pub fn mul_with_flags(self, rhs: Self) -> (Self, Event8) {
         assert_eq!(self.format(), rhs.format(), "mixed-format mul");
         let fmt = self.format();
         let (a, b) = (self.apply_ftz(), rhs.apply_ftz());
@@ -130,15 +131,15 @@ impl SoftFloat {
         let sign = a.sign() ^ b.sign();
         match (a.class(), b.class()) {
             (FloatClass::Infinite, FloatClass::Zero) | (FloatClass::Zero, FloatClass::Infinite) => {
-                return (Self::quiet_nan(fmt), Flags::INVALID);
+                return (Self::quiet_nan(fmt), Event8::NAR_NAN);
             }
             (FloatClass::Infinite, _) | (_, FloatClass::Infinite) => {
-                return (Self::infinity(sign, fmt), Flags::NONE);
+                return (Self::infinity(sign, fmt), Event8::NONE);
             }
             (FloatClass::Zero, _) | (_, FloatClass::Zero) => {
                 return (
                     Self::from_bits(u64::from(sign) << fmt.sign_shift(), fmt),
-                    Flags::NONE,
+                    Event8::NONE,
                 );
             }
             _ => {}
@@ -156,7 +157,7 @@ impl SoftFloat {
     ///
     /// Panics if the operand formats differ.
     #[must_use]
-    pub fn div_with_flags(self, rhs: Self) -> (Self, Flags) {
+    pub fn div_with_flags(self, rhs: Self) -> (Self, Event8) {
         assert_eq!(self.format(), rhs.format(), "mixed-format div");
         let fmt = self.format();
         let (a, b) = (self.apply_ftz(), rhs.apply_ftz());
@@ -167,17 +168,17 @@ impl SoftFloat {
         let sign = a.sign() ^ b.sign();
         match (a.class(), b.class()) {
             (FloatClass::Infinite, FloatClass::Infinite) | (FloatClass::Zero, FloatClass::Zero) => {
-                return (Self::quiet_nan(fmt), Flags::INVALID);
+                return (Self::quiet_nan(fmt), Event8::NAR_NAN);
             }
-            (FloatClass::Infinite, _) => return (Self::infinity(sign, fmt), Flags::NONE),
+            (FloatClass::Infinite, _) => return (Self::infinity(sign, fmt), Event8::NONE),
             (_, FloatClass::Infinite) | (FloatClass::Zero, _) => {
                 return (
                     Self::from_bits(u64::from(sign) << fmt.sign_shift(), fmt),
-                    Flags::NONE,
+                    Event8::NONE,
                 );
             }
             (_, FloatClass::Zero) => {
-                return (Self::infinity(sign, fmt), Flags::DIV_BY_ZERO);
+                return (Self::infinity(sign, fmt), Event8::DIV_BY_ZERO);
             }
             _ => {}
         }
@@ -205,30 +206,30 @@ impl SoftFloat {
 
     /// Square root with round-to-nearest-even, returning exception flags.
     #[must_use]
-    pub fn sqrt_with_flags(self) -> (Self, Flags) {
+    pub fn sqrt_with_flags(self) -> (Self, Event8) {
         let fmt = self.format();
         let a = self.apply_ftz();
         match a.class() {
             FloatClass::Nan => {
                 let f = if a.is_signaling_nan() {
-                    Flags::INVALID
+                    Event8::NAR_NAN
                 } else {
-                    Flags::NONE
+                    Event8::NONE
                 };
                 return (Self::quiet_nan(fmt), f);
             }
-            FloatClass::Zero => return (a, Flags::NONE), // sqrt(-0) = -0
+            FloatClass::Zero => return (a, Event8::NONE), // sqrt(-0) = -0
             FloatClass::Infinite => {
                 return if a.sign() {
-                    (Self::quiet_nan(fmt), Flags::INVALID)
+                    (Self::quiet_nan(fmt), Event8::NAR_NAN)
                 } else {
-                    (a, Flags::NONE)
+                    (a, Event8::NONE)
                 };
             }
             _ => {}
         }
         if a.sign() {
-            return (Self::quiet_nan(fmt), Flags::INVALID);
+            return (Self::quiet_nan(fmt), Event8::NAR_NAN);
         }
         let u = a.unpack();
         let mut sig = u.sig as u128;
@@ -303,7 +304,7 @@ impl SoftFloat {
     ///
     /// Panics if the operand formats differ.
     #[must_use]
-    pub fn fma_with_flags(self, b: Self, c: Self) -> (Self, Flags) {
+    pub fn fma_with_flags(self, b: Self, c: Self) -> (Self, Event8) {
         assert_eq!(self.format(), b.format(), "mixed-format fma");
         assert_eq!(self.format(), c.format(), "mixed-format fma");
         let fmt = self.format();
@@ -312,9 +313,9 @@ impl SoftFloat {
         if a.is_nan() || b.is_nan() || c.is_nan() {
             let signaling = a.is_signaling_nan() || b.is_signaling_nan() || c.is_signaling_nan();
             let f = if signaling {
-                Flags::INVALID
+                Event8::NAR_NAN
             } else {
-                Flags::NONE
+                Event8::NONE
             };
             return (Self::quiet_nan(fmt), f);
         }
@@ -322,16 +323,16 @@ impl SoftFloat {
         let psign = a.sign() ^ b.sign();
         let p_inf = a.is_infinite() || b.is_infinite();
         if (a.is_infinite() && b.is_zero()) || (a.is_zero() && b.is_infinite()) {
-            return (Self::quiet_nan(fmt), Flags::INVALID);
+            return (Self::quiet_nan(fmt), Event8::NAR_NAN);
         }
         if p_inf {
             if c.is_infinite() && c.sign() != psign {
-                return (Self::quiet_nan(fmt), Flags::INVALID);
+                return (Self::quiet_nan(fmt), Event8::NAR_NAN);
             }
-            return (Self::infinity(psign, fmt), Flags::NONE);
+            return (Self::infinity(psign, fmt), Event8::NONE);
         }
         if c.is_infinite() {
-            return (c, Flags::NONE);
+            return (c, Event8::NONE);
         }
         if a.is_zero() || b.is_zero() {
             // Exact product is (signed) zero; defer to add semantics.
@@ -375,7 +376,7 @@ impl SoftFloat {
             if sum == 0 {
                 // Same §6.3 rule as addition: exact cancellation takes the
                 // attribute-dependent zero sign.
-                return (Self::cancellation_zero(fmt), Flags::NONE);
+                return (Self::cancellation_zero(fmt), Event8::NONE);
             }
             sum_sign = sum < 0;
             sum_sig = sum.unsigned_abs();
@@ -416,9 +417,9 @@ fn nan_2op(a: SoftFloat, b: SoftFloat) -> Option<WithFlags> {
     if a.is_nan() || b.is_nan() {
         let signaling = a.is_signaling_nan() || b.is_signaling_nan();
         let flags = if signaling {
-            Flags::INVALID
+            Event8::NAR_NAN
         } else {
-            Flags::NONE
+            Event8::NONE
         };
         Some((SoftFloat::quiet_nan(a.format()), flags))
     } else {
@@ -485,7 +486,7 @@ mod tests {
         let ninf = SoftFloat::infinity(true, F16);
         let (r, fl) = inf.add_with_flags(ninf);
         assert!(r.is_nan());
-        assert!(fl.contains(Flags::INVALID));
+        assert!(fl.contains(Event8::NAR_NAN));
         assert!(inf.add(f16(1.0)).is_infinite());
         assert!(SoftFloat::quiet_nan(F16).add(f16(1.0)).is_nan());
     }
@@ -503,7 +504,7 @@ mod tests {
         let inf = SoftFloat::infinity(false, F16);
         let (r, fl) = inf.mul_with_flags(f16(0.0));
         assert!(r.is_nan());
-        assert!(fl.contains(Flags::INVALID));
+        assert!(fl.contains(Event8::NAR_NAN));
         assert!(f16(-2.0).mul(f16(0.0)).sign(), "-2 * +0 = -0");
         assert!(inf.mul(f16(-3.0)).sign());
     }
@@ -512,10 +513,10 @@ mod tests {
     fn div_rules() {
         let (r, fl) = f16(1.0).div_with_flags(f16(0.0));
         assert!(r.is_infinite());
-        assert!(fl.contains(Flags::DIV_BY_ZERO));
+        assert!(fl.contains(Event8::DIV_BY_ZERO));
         let (r, fl) = f16(0.0).div_with_flags(f16(0.0));
         assert!(r.is_nan());
-        assert!(fl.contains(Flags::INVALID));
+        assert!(fl.contains(Event8::NAR_NAN));
         assert_eq!(f16(1.0).div(f16(4.0)).to_f64(), 0.25);
     }
 
@@ -529,7 +530,7 @@ mod tests {
         });
         let (r, fl) = f16(-1.0).sqrt_with_flags();
         assert!(r.is_nan());
-        assert!(fl.contains(Flags::INVALID));
+        assert!(fl.contains(Event8::NAR_NAN));
         let nz = f16(0.0).neg();
         assert!(nz.sqrt().is_zero());
         assert!(nz.sqrt().sign(), "sqrt(-0) = -0");
@@ -548,7 +549,7 @@ mod tests {
         // Inexact tiny result raises underflow.
         let tiny = SoftFloat::from_bits(0x0001, F16);
         let (_, fl) = tiny.mul_with_flags(f16(0.75));
-        assert!(fl.contains(Flags::UNDERFLOW | Flags::INEXACT));
+        assert!(fl.contains(Event8::UNDERFLOW | Event8::INEXACT));
     }
 
     #[test]
@@ -556,7 +557,7 @@ mod tests {
         let big = f16(65504.0);
         let (r, fl) = big.mul_with_flags(f16(2.0));
         assert!(r.is_infinite());
-        assert!(fl.contains(Flags::OVERFLOW | Flags::INEXACT));
+        assert!(fl.contains(Event8::OVERFLOW | Event8::INEXACT));
     }
 
     /// Oracle: compute in f64 and round once. Valid because every supported

@@ -6,7 +6,8 @@
 //! circuit cost of float comparison versus the posit scheme, where a plain
 //! two's-complement integer compare suffices.
 
-use crate::flags::Flags;
+use nga_obs::Event8;
+
 use crate::value::SoftFloat;
 
 /// The four mutually exclusive IEEE comparison relations.
@@ -124,7 +125,7 @@ impl ComparisonPredicate {
     ///
     /// Panics if the operand formats differ.
     #[must_use]
-    pub fn evaluate(&self, a: SoftFloat, b: SoftFloat) -> (bool, Flags) {
+    pub fn evaluate(&self, a: SoftFloat, b: SoftFloat) -> (bool, Event8) {
         let rel = compare_values(a, b);
         let nan_involved = rel == Relation::Unordered;
         let signaling_nan = a.is_signaling_nan() || b.is_signaling_nan();
@@ -133,7 +134,11 @@ impl ComparisonPredicate {
         } else {
             signaling_nan
         };
-        let flags = if invalid { Flags::INVALID } else { Flags::NONE };
+        let flags = if invalid {
+            Event8::NAR_NAN
+        } else {
+            Event8::NONE
+        };
         use Relation::{Equal, Greater, Less, Unordered};
         let result = match self {
             Self::QuietEqual | Self::SignalingEqual => rel == Equal,
@@ -238,7 +243,7 @@ mod tests {
         let (_, fl) = ComparisonPredicate::QuietEqual.evaluate(qnan, one);
         assert!(fl.is_empty());
         let (_, fl) = ComparisonPredicate::QuietEqual.evaluate(snan, one);
-        assert!(fl.contains(Flags::INVALID));
+        assert!(fl.contains(Event8::NAR_NAN));
     }
 
     #[test]
@@ -247,7 +252,7 @@ mod tests {
         let one = f(1.0);
         let (res, fl) = ComparisonPredicate::SignalingLess.evaluate(one, qnan);
         assert!(!res);
-        assert!(fl.contains(Flags::INVALID));
+        assert!(fl.contains(Event8::NAR_NAN));
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //!
 //! - subnormals, signed zeros, infinities and NaNs,
 //! - round-to-nearest-even at every operation,
-//! - the five IEEE exception flags ([`Flags`]),
+//! - the five IEEE exception flags, reported as [`nga_obs::Event8`] bits
+//!   (IEEE invalid is [`Event8::NAR_NAN`](nga_obs::Event8::NAR_NAN)),
 //! - a **normals-only mode** ([`SubnormalMode::FlushToZero`]) modelling the
 //!   SIMD flags processors use to avoid the "trap to software" regions of the
 //!   paper's Fig. 6,
@@ -41,7 +42,6 @@
 mod analysis;
 mod arith;
 mod compare;
-mod flags;
 mod format;
 mod interval;
 mod round;
@@ -49,7 +49,6 @@ mod value;
 
 pub use analysis::{classify_region, dynamic_range_decades, RingCensus, RingRegion};
 pub use compare::{ComparisonPredicate, Relation};
-pub use flags::Flags;
 pub use format::{FloatFormat, Rounding, SubnormalMode};
 pub use interval::Interval;
 pub use value::{FloatClass, SoftFloat};

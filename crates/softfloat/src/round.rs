@@ -8,14 +8,15 @@
 //! position, round-to-nearest-even decisions are unaffected). [`round_pack`]
 //! then performs the one and only rounding into the destination format.
 
-use crate::flags::Flags;
+use nga_obs::Event8;
+
 use crate::format::{FloatFormat, Rounding};
 
 /// Result of packing: encoded bits plus the exception flags raised.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct RoundOutcome {
     pub bits: u64,
-    pub flags: Flags,
+    pub flags: Event8,
 }
 
 /// Right-shifts `sig` by `k`, ORing every shifted-out bit into the result's
@@ -84,13 +85,13 @@ pub(crate) fn round_pack(sign: bool, sig: u128, exp: i32, fmt: FloatFormat) -> R
     if sig == 0 {
         return RoundOutcome {
             bits: sign_bit,
-            flags: Flags::NONE,
+            flags: Event8::NONE,
         };
     }
     let m = fmt.frac_bits() as i32;
     let top = 127 - sig.leading_zeros() as i32; // MSB index: value in [2^(exp+top), 2^(exp+top+1))
     let e_val = exp + top;
-    let mut flags = Flags::NONE;
+    let mut flags = Event8::NONE;
 
     if e_val >= fmt.emin() {
         // Normal candidate: significand wants m+1 bits (hidden + fraction).
@@ -101,7 +102,7 @@ pub(crate) fn round_pack(sign: bool, sig: u128, exp: i32, fmt: FloatFormat) -> R
             (sig << (-drop) as u32, false)
         };
         if inexact {
-            flags |= Flags::INEXACT;
+            flags |= Event8::INEXACT;
         }
         // Rounding may carry out: 2^(m+1) exactly (all-ones rounds up).
         let (rsig, re) = if rounded >> (m as u32 + 1) != 0 {
@@ -127,7 +128,7 @@ pub(crate) fn round_pack(sign: bool, sig: u128, exp: i32, fmt: FloatFormat) -> R
             };
             return RoundOutcome {
                 bits,
-                flags: flags | Flags::OVERFLOW | Flags::INEXACT,
+                flags: flags | Event8::OVERFLOW | Event8::INEXACT,
             };
         }
         let e_field = (re + fmt.bias()) as u64;
@@ -147,8 +148,8 @@ pub(crate) fn round_pack(sign: bool, sig: u128, exp: i32, fmt: FloatFormat) -> R
             (sig << (-drop) as u32, false)
         };
         if inexact {
-            flags |= Flags::INEXACT;
-            flags |= Flags::UNDERFLOW;
+            flags |= Event8::INEXACT;
+            flags |= Event8::UNDERFLOW;
         }
         if rounded >= 1u128 << m {
             // Rounded all the way up to the smallest normal.
@@ -199,7 +200,7 @@ mod tests {
         // 2^16 overflows binary16 (emax = 15, max finite 65504).
         let out = round_pack(false, 1, 16, F16);
         assert_eq!(out.bits, 0x7C00);
-        assert!(out.flags.contains(Flags::OVERFLOW | Flags::INEXACT));
+        assert!(out.flags.contains(Event8::OVERFLOW | Event8::INEXACT));
     }
 
     #[test]
@@ -223,7 +224,7 @@ mod tests {
         // Half of it ties to even -> 0, with underflow+inexact.
         let out = round_pack(false, 1, -25, F16);
         assert_eq!(out.bits, 0x0000);
-        assert!(out.flags.contains(Flags::UNDERFLOW | Flags::INEXACT));
+        assert!(out.flags.contains(Event8::UNDERFLOW | Event8::INEXACT));
         // Three quarters rounds up to one quantum.
         let out = round_pack(false, 3, -26, F16);
         assert_eq!(out.bits, 0x0001);
@@ -241,7 +242,7 @@ mod tests {
     fn giant_drop_rounds_to_zero() {
         let out = round_pack(false, u128::MAX >> 1, -500, F16);
         assert_eq!(out.bits, 0x0000);
-        assert!(out.flags.contains(Flags::UNDERFLOW));
+        assert!(out.flags.contains(Event8::UNDERFLOW));
     }
 
     fn dir(mode: Rounding) -> FloatFormat {
@@ -261,7 +262,7 @@ mod tests {
         ] {
             let out = round_pack(false, 1, 17, dir(mode));
             assert_eq!(out.bits, pos, "positive overflow under {mode:?}");
-            assert!(out.flags.contains(Flags::OVERFLOW | Flags::INEXACT));
+            assert!(out.flags.contains(Event8::OVERFLOW | Event8::INEXACT));
             let out = round_pack(true, 1, 17, dir(mode));
             assert_eq!(out.bits, neg, "negative overflow under {mode:?}");
         }

@@ -1,8 +1,13 @@
 #!/usr/bin/env sh
-# Tier-1 gate: release build, full test suite, invariant lint, clippy clean.
+# Tier-1 gate: rustfmt clean, release build, full test suite, invariant
+# lint, clippy clean.
 # Usage: scripts/check.sh
 set -eu
 cd "$(dirname "$0")/.."
+
+# Formatting gate: any rustfmt diff in the workspace fails. edgebench/ is
+# its own cargo workspace and is not covered by `--all`.
+cargo fmt --all --check
 
 # The root Cargo.toml's `default-members` lists every workspace member,
 # so the plain build and `cargo test -q` cover the whole workspace
